@@ -274,71 +274,42 @@ BM_PhiGemm(benchmark::State& state)
 BENCHMARK(BM_PhiGemm)->ArgsProduct({{256, 1024}, {1, 2, 4, 8}});
 
 /**
- * PWP-layout ablation: the same serving problem through each storage
- * scheme, so a regression report can attribute the end-to-end gain.
- * Counters report the Level 1 bytes each layout streams per output
- * row and the resident PWP bytes.
+ * PWP-tier ablation: the same serving problem through each arena
+ * storage width, so a regression report can attribute the gain.
+ * Counters report the Level 1 bytes each tier streams per output row
+ * and the resident PWP bytes.
  *
- *   legacy   — per-partition Matrix scatter, column-block kernel
- *   arena32  — contiguous int32 arena, permuted visit, gather kernel
- *   natural  — arena32 without the pattern-locality permutation
- *   arena16  — quantized int16 arena (lossless for these weights)
+ *   arena   — contiguous int32 arena
+ *   quant16 — quantized int16 arena (lossless for these weights)
  */
 void
-serveAblation(benchmark::State& state, int mode)
+serveAblation(benchmark::State& state, PwpTier quant)
 {
     ServeFixture fx(1024, 64, 8);
-    LayerDecomposition natural;
-    const LayerDecomposition* dec = &fx.dec;
-    if (mode == 2) {
-        natural = fx.dec;
-        natural.serveOrder.clear();
-        dec = &natural;
-    }
-    const PwpTier quant =
-        mode == 3 ? PwpTier::Int16 : PwpTier::Int32;
     PwpArena arena(fx.pwps, fx.w.cols(), quant);
     Matrix<int32_t> out(fx.dec.m, fx.w.cols());
     const ExecutionConfig exec = benchExec(state);
     for (auto _ : state) {
-        if (mode == 0)
-            phiGemmWithPwpsInto(out, fx.dec, fx.pwps, fx.w, exec);
-        else
-            phiGemmWithArenaInto(out, *dec, arena, fx.w, exec);
+        phiGemmWithArenaInto(out, fx.dec, arena, fx.w, exec);
         benchmark::DoNotOptimize(out.data());
     }
-    const size_t elemBytes =
-        mode == 0 ? 4 : pwpTierBytes(arena.tier());
-    state.counters["l1_bytes_per_row"] =
-        benchmark::Counter(fx.l1BytesPerRow(elemBytes));
-    state.counters["pwp_resident_bytes"] = benchmark::Counter(
-        static_cast<double>(mode == 0 ? pwpBytes(fx.table, fx.w.cols(), 4)
-                                      : arena.bytes()));
+    state.counters["l1_bytes_per_row"] = benchmark::Counter(
+        fx.l1BytesPerRow(pwpTierBytes(arena.tier())));
+    state.counters["pwp_resident_bytes"] =
+        benchmark::Counter(static_cast<double>(arena.bytes()));
 }
 
 void
-BM_PwpServeLegacy(benchmark::State& state)
-{
-    serveAblation(state, 0);
-}
-void
 BM_PwpServeArena(benchmark::State& state)
 {
-    serveAblation(state, 1);
-}
-void
-BM_PwpServeArenaNatural(benchmark::State& state)
-{
-    serveAblation(state, 2);
+    serveAblation(state, PwpTier::Int32);
 }
 void
 BM_PwpServeQuant16(benchmark::State& state)
 {
-    serveAblation(state, 3);
+    serveAblation(state, PwpTier::Int16);
 }
-BENCHMARK(BM_PwpServeLegacy)->ArgsProduct({{1024}, {1}});
 BENCHMARK(BM_PwpServeArena)->ArgsProduct({{1024}, {1}});
-BENCHMARK(BM_PwpServeArenaNatural)->ArgsProduct({{1024}, {1}});
 BENCHMARK(BM_PwpServeQuant16)->ArgsProduct({{1024}, {1}});
 
 void

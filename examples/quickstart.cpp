@@ -81,9 +81,11 @@ main()
               << (all_exact ? "YES (bit-exact)" : "NO (bug!)") << "\n\n";
 
     // 5. Report the hierarchical sparsity of one request (Table 4
-    //    style) straight from the served decomposition.
+    //    style) by decomposing it again — decomposition is
+    //    deterministic, so this is exactly what the engine served.
+    const CompiledLayer& served = engine.model().layer(0);
     SparsityBreakdown b =
-        engine.model().layer(0).breakdown(requests[0], responses[0].dec);
+        served.breakdown(requests[0], served.decompose(requests[0]));
     Table t({"Metric", "Value"});
     t.addRow({"Bit density", Table::fmtPct(b.bitDensity)});
     t.addRow({"L1 (pattern) density", Table::fmtPct(b.l1Density)});

@@ -1,42 +1,12 @@
 #include "arch/pattern_matcher.hh"
 
-#include "numeric/simd.hh"
-
 namespace phi
 {
 
 PatternMatcher::PatternMatcher(const PatternSet& ps, int laneCount)
-    : set(ps), lanes(laneCount), pipelineDepth(ps.size())
+    : assigner(ps), lanes(laneCount), pipelineDepth(ps.size())
 {
     phi_assert(lanes >= 1, "matcher needs at least one lane");
-}
-
-RowAssignment
-PatternMatcher::match(uint64_t row) const
-{
-    // Step 2: every matcher unit computes difference + popcount.
-    // Step 3: global minimum over units and the no-pattern baseline.
-    RowAssignment best;
-    best.patternId = 0;
-    best.posMask = row;
-    best.negMask = 0;
-    int best_count = popcount64(row);
-
-    if (row == 0)
-        return best;
-
-    const auto& pats = set.patterns();
-    for (size_t u = 0; u < pats.size(); ++u) {
-        const uint64_t diff = row ^ pats[u];
-        const int count = popcount64(diff);
-        if (count < best_count) {
-            best_count = count;
-            best.patternId = static_cast<uint16_t>(u + 1);
-            best.posMask = row & ~pats[u];
-            best.negMask = pats[u] & ~row;
-        }
-    }
-    return best;
 }
 
 std::vector<RowAssignment>
@@ -44,43 +14,12 @@ PatternMatcher::matchAll(const std::vector<uint64_t>& rows,
                          const ExecutionConfig& exec) const
 {
     constexpr size_t kMatchGrain = 512;
+    const PatternAssigner onIsa(assigner.patternSet(), exec.isa);
     std::vector<RowAssignment> out(rows.size());
-    const auto& pats = set.patterns();
-    const uint64_t* patWords = pats.data();
-    const size_t q = pats.size();
-    const simd::Kernels& kr = simd::kernels(exec.isa);
-
     parallelFor(exec, 0, rows.size(), kMatchGrain,
                 [&](size_t i0, size_t i1) {
-        // Word-parallel XOR+popcount over the whole pattern partition,
-        // then a scalar first-minimum argmin over the byte distances —
-        // identical outcome to match() per row (strict '<' keeps the
-        // earliest pattern on ties).
-        std::vector<uint8_t> dist(q);
-        for (size_t i = i0; i < i1; ++i) {
-            const uint64_t row = rows[i];
-            RowAssignment& best = out[i];
-            best.patternId = 0;
-            best.posMask = row;
-            best.negMask = 0;
-            if (row == 0 || q == 0)
-                continue;
-
-            int best_count = popcount64(row);
-            kr.hammingScan(row, patWords, q, dist.data());
-            size_t best_u = q;
-            for (size_t u = 0; u < q; ++u) {
-                if (dist[u] < best_count) {
-                    best_count = dist[u];
-                    best_u = u;
-                }
-            }
-            if (best_u != q) {
-                best.patternId = static_cast<uint16_t>(best_u + 1);
-                best.posMask = row & ~patWords[best_u];
-                best.negMask = patWords[best_u] & ~row;
-            }
-        }
+        for (size_t i = i0; i < i1; ++i)
+            out[i] = onIsa.assign(rows[i]);
     });
     return out;
 }

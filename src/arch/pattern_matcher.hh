@@ -5,7 +5,8 @@
  * Functionally: broadcast a spike row-tile to all matcher units, XOR
  * against each stored pattern, popcount the difference and the raw row,
  * take the minimum — yielding the Level 1 pattern id and the Level 2
- * sparse row. Architecturally: a 1-D systolic pipeline of q units with a
+ * sparse row. That function is PatternAssigner's; this class adds the
+ * architecture on top of it: a 1-D systolic pipeline of q units with a
  * throughput of `lanes` row-tiles per cycle and a fill latency of q.
  */
 
@@ -22,7 +23,7 @@
 namespace phi
 {
 
-/** Functional + timing model of the systolic pattern matcher. */
+/** Timing model of the systolic pattern matcher over the assigner. */
 class PatternMatcher
 {
   public:
@@ -32,21 +33,13 @@ class PatternMatcher
      */
     explicit PatternMatcher(const PatternSet& ps, int lanes = 8);
 
-    /**
-     * Match one row-tile: returns the id of the pattern with the
-     * minimum difference popcount, or 0 when no pattern beats the raw
-     * popcount baseline (no-assignment case). Identical in outcome to
-     * PatternAssigner; the unit-level steps are modelled explicitly and
-     * cross-checked by tests.
-     */
-    RowAssignment match(uint64_t row) const;
+    /** Match one row-tile (PatternAssigner::assign). */
+    RowAssignment match(uint64_t row) const { return assigner.assign(row); }
 
     /**
-     * Match a batch of row-tiles with a parallel sweep over fixed-size
-     * chunks. Inside a chunk the whole pattern partition is scanned
-     * word-parallel (SIMD XOR+popcount via the kernel layer) before a
-     * scalar first-minimum argmin, so the output is bit-identical to
-     * calling match() per row at any thread count and on any backend.
+     * Match a batch of row-tiles on the exec.isa backend with a
+     * parallel sweep; each row's result equals match(row) at any
+     * thread count and on any backend.
      */
     std::vector<RowAssignment> matchAll(
         const std::vector<uint64_t>& rows,
@@ -65,12 +58,16 @@ class PatternMatcher
     }
 
     /** Pattern comparisons per matched row (energy accounting). */
-    size_t comparisonsPerRow() const { return set.size() + 1; }
+    size_t
+    comparisonsPerRow() const
+    {
+        return assigner.patternSet().size() + 1;
+    }
 
     int numLanes() const { return lanes; }
 
   private:
-    PatternSet set;
+    PatternAssigner assigner;
     int lanes;
     uint64_t pipelineDepth;
 };

@@ -53,19 +53,12 @@ struct ExecutionConfig
      * PHI_SIMD environment variable; forcing a specific backend is for
      * testing and benchmarking. Every backend is bit-identical, so
      * this knob never changes results — only speed.
+     *
+     * There is deliberately no software-prefetch knob here: the PWP
+     * prefetcher of the paper (Sec. 4.4) is a modelled hardware unit,
+     * toggled by PhiArchConfig::prefetchPwp in the simulator only.
      */
     SimdIsa isa = SimdIsa::Auto;
-
-    /**
-     * Software-prefetch the next visit's Level 1 arena rows in the
-     * phiGemm serving loop. Off by default: on hosts measured so far
-     * the hardware prefetcher already tracks the arena's sequential
-     * row streams, and the extra prefetch instructions slow the hot
-     * loop by up to 30% on wide layers. Opt-in hook for
-     * bandwidth-starved parts whose PWP arena far exceeds the
-     * last-level cache. Never changes results — only speed.
-     */
-    bool prefetchPwp = false;
 
     /** Effective thread count: resolves 0 against the machine. */
     int resolvedThreads() const;

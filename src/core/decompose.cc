@@ -1,8 +1,9 @@
 #include "core/decompose.hh"
 
 #include <algorithm>
-#include <numeric>
 #include <unordered_map>
+
+#include "numeric/simd.hh"
 
 namespace phi
 {
@@ -35,47 +36,51 @@ emitL2Entries(const RowAssignment& a, std::vector<L2Entry>& entries)
 
 } // namespace
 
-PatternAssigner::PatternAssigner(const PatternSet& ps)
-    : set(ps)
+PatternAssigner::PatternAssigner(const PatternSet& ps, SimdIsa isa)
+    : set(ps), kr(&simd::kernels(isa))
 {
-}
-
-const RowAssignment&
-PatternAssigner::assign(uint64_t row) const
-{
-    auto it = cache.find(row);
-    if (it != cache.end())
-        return it->second;
-    auto [ins, ok] = cache.emplace(row, compute(row));
-    return ins->second;
 }
 
 RowAssignment
-PatternAssigner::compute(uint64_t row) const
+PatternAssigner::assign(uint64_t row) const
 {
     RowAssignment best;
-    best.patternId = 0;
     best.posMask = row;
-    best.negMask = 0;
-    int best_nnz = popcount64(row);
-
-    // An all-zero row can never be improved; the scan below would only
+    // An all-zero row can never be improved; the scan would only
     // produce negative corrections.
     if (row == 0)
         return best;
 
-    const auto& pats = set.patterns();
-    for (size_t i = 0; i < pats.size(); ++i) {
-        uint64_t diff = row ^ pats[i];
-        int nnz = popcount64(diff);
-        // Strict improvement required: a tie would add an L1 PWP
-        // accumulation without reducing L2 work.
-        if (nnz < best_nnz) {
-            best_nnz = nnz;
-            best.patternId = static_cast<uint16_t>(i + 1);
-            best.posMask = row & ~pats[i]; // 1 in row, 0 in pattern -> +1
-            best.negMask = pats[i] & ~row; // 0 in row, 1 in pattern -> -1
+    // Distances for a block of patterns land in a stack buffer. The
+    // block minimum is a branch-free (vectorisable) reduction; only a
+    // block that strictly improves on the best so far is searched for
+    // the first pattern reaching it, so the earliest pattern wins ties.
+    // An exact match ends the scan since nothing can beat it.
+    constexpr size_t kScanBlock = 64;
+    uint8_t dist[kScanBlock] = {};
+    const uint64_t* pats = set.patterns().data();
+    const size_t q = set.size();
+    uint8_t bestNnz = static_cast<uint8_t>(popcount64(row));
+    size_t bestIdx = q;
+    for (size_t b0 = 0; b0 < q && bestNnz > 0; b0 += kScanBlock) {
+        const size_t len = std::min(kScanBlock, q - b0);
+        kr->hammingScan(row, pats + b0, len, dist);
+        uint8_t blockMin = bestNnz;
+        for (size_t i = 0; i < len; ++i)
+            blockMin = std::min(blockMin, dist[i]);
+        if (blockMin < bestNnz) {
+            size_t i = 0;
+            while (dist[i] != blockMin)
+                ++i;
+            bestNnz = blockMin;
+            bestIdx = b0 + i;
         }
+    }
+    if (bestIdx != q) {
+        const uint64_t pat = pats[bestIdx];
+        best.patternId = static_cast<uint16_t>(bestIdx + 1);
+        best.posMask = row & ~pat; // 1 in row, 0 in pattern -> +1
+        best.negMask = pat & ~row; // 0 in row, 1 in pattern -> -1
     }
     return best;
 }
@@ -111,8 +116,7 @@ decomposeTile(const BinaryMatrix& acts, size_t partition,
                 const uint64_t row = acts.extract(r, start, k);
                 auto it = memo.find(row);
                 if (it == memo.end())
-                    it = memo.emplace(row, assigner.assignUncached(row))
-                             .first;
+                    it = memo.emplace(row, assigner.assign(row)).first;
                 const RowAssignment& a = it->second;
                 tile.patternIds[r] = a.patternId;
                 const size_t before = entries.size();
@@ -149,11 +153,10 @@ decomposeLayer(const BinaryMatrix& acts, const PatternTable& table,
     dec.k = k;
     dec.tiles.reserve(partitions);
     for (size_t p = 0; p < partitions; ++p) {
-        PatternAssigner assigner(table.partition(p));
+        PatternAssigner assigner(table.partition(p), exec.isa);
         dec.tiles.push_back(decomposeTile(acts, p, assigner, exec));
     }
     dec.buildRowIndex();
-    dec.buildServeOrder();
     return dec;
 }
 
@@ -198,32 +201,6 @@ LayerDecomposition::buildRowIndex()
         for (const L2Entry& e : tiles[t].l2Entries)
             tileMaxL2Col[t] = std::max(tileMaxL2Col[t], e.col);
     }
-}
-
-void
-LayerDecomposition::buildServeOrder()
-{
-    const size_t numTiles = tiles.size();
-    serveOrder.resize(m);
-    std::iota(serveOrder.begin(), serveOrder.end(), 0u);
-    if (numTiles == 0)
-        return; // degenerate layer: natural order
-    phi_assert(hasRowIndex(),
-               "buildServeOrder requires the row-major index");
-    // Lexicographic stable sort on the pattern-id signature: rows with
-    // equal leading tile ids become neighbours, so the serving loop
-    // re-reads their PWP rows while still cache-resident. Stability
-    // keeps equal-signature rows in original order — the permutation
-    // is a pure function of the decomposition, independent of thread
-    // count.
-    const uint16_t* ids = rowPatternIds.data();
-    std::stable_sort(serveOrder.begin(), serveOrder.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         const uint16_t* sa = ids + a * numTiles;
-                         const uint16_t* sb = ids + b * numTiles;
-                         return std::lexicographical_compare(
-                             sa, sa + numTiles, sb, sb + numTiles);
-                     });
 }
 
 size_t

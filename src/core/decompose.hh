@@ -14,7 +14,6 @@
 #define PHI_CORE_DECOMPOSE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -23,6 +22,11 @@
 
 namespace phi
 {
+
+namespace simd
+{
+struct Kernels;
+} // namespace simd
 
 /** One Level 2 correction element within a partition (col in [0, k)). */
 struct L2Entry
@@ -44,35 +48,35 @@ struct RowAssignment
 };
 
 /**
- * Assigns row-tiles to patterns with memoisation.
+ * The pattern matcher (Fig. 4a): assigns a row-tile to the pattern of
+ * minimum Hamming distance. The one argmin of the codebase — the
+ * serving decomposition, PAFT, the cluster metrics and the hardware
+ * model (PatternMatcher) all delegate here.
  *
- * SNN activations are heavily clustered, so distinct k-bit values repeat
- * massively; a per-value cache turns the O(q) scan into a hash lookup
- * for all repeats.
+ * Stateless and allocation-free, so one assigner may be shared by any
+ * number of threads. Distances come from the SIMD hammingScan kernel
+ * of the chosen backend; the argmin over them is exact integer work,
+ * so every backend yields the same assignment.
  */
 class PatternAssigner
 {
   public:
-    explicit PatternAssigner(const PatternSet& ps);
-
-    /** Best assignment for a k-bit row value (memoised). */
-    const RowAssignment& assign(uint64_t row) const;
+    explicit PatternAssigner(const PatternSet& ps,
+                             SimdIsa isa = SimdIsa::Auto);
 
     /**
-     * As assign(), but bypassing the shared memo cache. The parallel
-     * decomposition sweep uses this with one cache per work chunk —
-     * the shared map is not thread-safe, and per-chunk memoisation
-     * still captures the massive value repetition of SNN activations.
+     * Best assignment for a k-bit row value. A pattern must beat the
+     * row's own popcount strictly (a tie would add an L1 PWP
+     * accumulation without reducing L2 work); among equally good
+     * patterns the earliest wins.
      */
-    RowAssignment assignUncached(uint64_t row) const { return compute(row); }
+    RowAssignment assign(uint64_t row) const;
 
     const PatternSet& patternSet() const { return set; }
 
   private:
-    RowAssignment compute(uint64_t row) const;
-
     PatternSet set;
-    mutable std::unordered_map<uint64_t, RowAssignment> cache;
+    const simd::Kernels* kr;
 };
 
 /** Decomposition of one (M x k) activation partition. */
@@ -135,21 +139,6 @@ struct LayerDecomposition
     std::vector<uint16_t> tileMaxPatternId;
     std::vector<uint16_t> tileMaxL2Col;
 
-    /**
-     * Pattern-locality serving permutation, derived by
-     * buildServeOrder(): serveOrder[i] is the original index of the
-     * i-th row to visit. Rows are stable-sorted by their L1 pattern-id
-     * signature across tiles, so consecutive visits reuse the same PWP
-     * rows while they are still cache-resident; identical rows stay in
-     * original relative order, keeping the order deterministic. The
-     * serving loop writes each result through the permutation to the
-     * row's original output slot, so callers never observe the
-     * reordering. Empty (natural order) for hand-assembled
-     * decompositions that never called buildServeOrder(). Not
-     * serialized: loaders and decomposeLayer rebuild it.
-     */
-    std::vector<uint32_t> serveOrder;
-
     size_t numPartitions() const { return tiles.size(); }
 
     /** True when the row-major index matches the tile data shape. */
@@ -172,15 +161,6 @@ struct LayerDecomposition
 
     /** (Re)build the row-major serving index from the tiles. */
     void buildRowIndex();
-
-    /** True when serveOrder is populated for every row. */
-    bool hasServeOrder() const { return serveOrder.size() == m; }
-
-    /**
-     * (Re)build the pattern-locality serving permutation from the
-     * row-major index (requires hasRowIndex()).
-     */
-    void buildServeOrder();
 
     /** Total Level 2 nonzeros across partitions. */
     size_t totalL2Nnz() const;
@@ -205,13 +185,15 @@ void buildRowIndexInto(const LayerDecomposition& dec,
  * Decompose one partition of the activation matrix. Rows are swept in
  * parallel over fixed-size chunks; per-chunk Level 2 buffers are
  * concatenated in chunk order, so the result is bit-identical at any
- * thread count.
+ * thread count. Each chunk memoises its row values: SNN activations
+ * are heavily clustered, so most rows repeat a value already matched.
  */
 TileDecomposition decomposeTile(const BinaryMatrix& acts, size_t partition,
                                 const PatternAssigner& assigner,
                                 const ExecutionConfig& exec = {});
 
-/** Decompose a whole layer against its calibrated pattern table. */
+/** Decompose a whole layer against its calibrated pattern table,
+ *  matching on the exec.isa backend. */
 LayerDecomposition decomposeLayer(const BinaryMatrix& acts,
                                   const PatternTable& table,
                                   const ExecutionConfig& exec = {});

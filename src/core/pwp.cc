@@ -197,171 +197,22 @@ Matrix<int32_t>
 phiGemm(const LayerDecomposition& dec, const PatternTable& table,
         const Matrix<int16_t>& weights, const ExecutionConfig& exec)
 {
-    return phiGemmWithPwps(dec, computeLayerPwps(table, weights, exec),
-                           weights, exec);
-}
-
-Matrix<int32_t>
-phiGemmWithPwps(const LayerDecomposition& dec,
-                const std::vector<Matrix<int32_t>>& pwps,
-                const Matrix<int16_t>& weights,
-                const ExecutionConfig& exec)
-{
-    // Into() overwrites every row via storeRowsI32, so the fresh
-    // output needs no zero fill.
-    Matrix<int32_t> out =
-        Matrix<int32_t>::uninitialized(dec.m, weights.cols());
-    phiGemmWithPwpsInto(out, dec, pwps, weights, exec);
-    return out;
-}
-
-void
-phiGemmWithPwpsInto(Matrix<int32_t>& out, const LayerDecomposition& dec,
-                    const std::vector<Matrix<int32_t>>& pwps,
-                    const Matrix<int16_t>& weights,
-                    const ExecutionConfig& exec)
-{
-    phi_assert(dec.kTotal == weights.rows(),
-               "decomposition K ", dec.kTotal, " != weight rows ",
-               weights.rows());
-    phi_assert(pwps.size() >= dec.numPartitions(),
-               "PWPs cover ", pwps.size(), " partitions, need ",
-               dec.numPartitions());
-    phi_assert(out.rows() == dec.m && out.cols() == weights.cols(),
-               "output shape ", out.rows(), "x", out.cols(),
-               " != expected ", dec.m, "x", weights.cols());
-    const size_t n = weights.cols();
-    const size_t numTiles = dec.tiles.size();
-
-    const size_t tileN = exec.resolvedTileN(n);
-    const size_t nPad = out.paddedCols();
-    const simd::Kernels& kr = simd::kernels(exec.isa);
-
-    // The hot loop walks the row-major serving index (one contiguous
-    // line per output row instead of tiles-many scattered vector
-    // accesses); decomposeLayer and the .phim loader always build it,
-    // so the rebuild here only covers hand-assembled decompositions.
-    std::vector<uint16_t> localIds;
-    std::vector<uint8_t> localCounts;
-    const uint16_t* rowIds = dec.rowPatternIds.data();
-    const uint8_t* rowCounts = dec.rowL2Counts.data();
-    if (!dec.hasRowIndex() && numTiles > 0) {
-        buildRowIndexInto(dec, localIds, localCounts);
-        rowIds = localIds.data();
-        rowCounts = localCounts.data();
-    }
-
-    // Per-tile tables hoisted out of the row loop: PWP row base and
-    // stride, Level 2 entry stream and the tile's first weight row.
-    // The historical per-entry bounds assert is hoisted too: checking
-    // each tile's maximum Level 2 column once proves every entry's
-    // weight row is in range.
-    std::vector<const int32_t*> pwpBase(numTiles);
-    std::vector<size_t> pwpStride(numTiles);
-    std::vector<const L2Entry*> l2Entries(numTiles);
-    std::vector<const int16_t*> wBase(numTiles);
-    const size_t wStride = weights.stride();
-    const bool haveMaxima = dec.hasTileMaxima();
-    for (size_t t = 0; t < numTiles; ++t) {
-        const TileDecomposition& tile = dec.tiles[t];
-        const size_t k_off =
-            tile.partition * static_cast<size_t>(dec.k);
-        uint16_t maxCol = haveMaxima ? dec.tileMaxL2Col[t] : 0;
-        if (!haveMaxima)
-            for (const L2Entry& e : tile.l2Entries)
-                maxCol = std::max(maxCol, e.col);
-        phi_assert(tile.l2Entries.empty() ||
-                   k_off + maxCol < weights.rows(),
-                   "L2 column beyond weight rows");
-        pwpBase[t] = pwps[tile.partition].rowPtr(0);
-        pwpStride[t] = pwps[tile.partition].stride();
-        l2Entries[t] = tile.l2Entries.data();
-        wBase[t] = k_off < weights.rows() ? weights.rowPtr(k_off)
-                                          : nullptr;
-    }
-
-    parallelFor(exec, 0, dec.m, kPhiGemmRowGrain,
-                [&](size_t r0, size_t r1) {
-        // Per output row, the whole hierarchical product is gathered
-        // into pointer batches — the assigned PWP row of every
-        // partition (Level 1) plus the signed Level 2 weight-row
-        // corrections — then reduced by three multi-row kernel calls
-        // that hold the output block in registers across the batch.
-        // The Level 1 batch overwrites the block (zeroing it when no
-        // partition matched), so the output never needs pre-zeroing.
-        // int32 addition is associative, so regrouping the partition
-        // order into batches keeps results bit-identical to the
-        // per-partition reference at any thread count.
-        std::vector<const int32_t*> l1(numTiles);
-        std::vector<const int16_t*> l2pos;
-        std::vector<const int16_t*> l2neg;
-        std::vector<uint32_t> l2Cursor(numTiles);
-        // A row holds at most k entries per tile: one up-front
-        // reservation keeps the batches from regrowing mid-loop.
-        l2pos.reserve(numTiles * static_cast<size_t>(dec.k));
-        l2neg.reserve(numTiles * static_cast<size_t>(dec.k));
-
-        for (size_t n0 = 0; n0 < n; n0 += tileN) {
-            const size_t n1 = std::min(n, n0 + tileN);
-            const size_t span = (n1 == n ? nPad : n1) - n0;
-
-            // Level 2 entries are consumed in row order per tile; the
-            // cursors pick up each tile's CSR stream at this chunk.
-            for (size_t t = 0; t < numTiles; ++t)
-                l2Cursor[t] = dec.tiles[t].l2Offsets.empty()
-                                  ? 0
-                                  : dec.tiles[t].l2Offsets[r0];
-
-            for (size_t r = r0; r < r1; ++r) {
-                const uint16_t* ids = rowIds + r * numTiles;
-                const uint8_t* counts = rowCounts + r * numTiles;
-                size_t b1 = 0;
-                l2pos.clear();
-                l2neg.clear();
-                for (size_t t = 0; t < numTiles; ++t) {
-                    const uint16_t id = ids[t];
-                    if (id != 0)
-                        l1[b1++] = pwpBase[t] +
-                                   (id - size_t{1}) * pwpStride[t] +
-                                   n0;
-                    const uint32_t cnt = counts[t];
-                    if (cnt != 0) {
-                        const L2Entry* e = l2Entries[t] + l2Cursor[t];
-                        for (uint32_t i = 0; i < cnt; ++i) {
-                            const int16_t* w =
-                                wBase[t] + e[i].col * wStride + n0;
-                            if (e[i].sign > 0)
-                                l2pos.push_back(w);
-                            else
-                                l2neg.push_back(w);
-                        }
-                        l2Cursor[t] += cnt;
-                    }
-                }
-                kr.fusedStoreAddSub(out.rowPtr(r) + n0, l1.data(), b1,
-                                    l2pos.data(), l2pos.size(),
-                                    l2neg.data(), l2neg.size(), span);
-            }
-        }
-    });
+    const PwpArena arena(computeLayerPwps(table, weights, exec),
+                         weights.cols());
+    return phiGemmWithArena(dec, arena, weights, exec);
 }
 
 namespace
 {
 
 /**
- * Tier-generic body of phiGemmWithArenaInto. The structure mirrors
- * phiGemmWithPwpsInto, with three differences that remove its memory
- * stalls: Level 1 rows are gathered straight out of the contiguous
- * arena by pattern id inside the kernel (no per-row pointer batch and
- * no scatter across per-partition Matrix allocations), rows are
- * visited in dec.serveOrder so consecutive rows reuse cache-hot PWP
- * lines, and Level 2 streams are addressed absolutely through
- * l2Offsets (running cursors can't follow a permuted visit order).
- * Every output row is still written exactly once, to its original
- * slot, by one kernel call per column block — so results are
- * bit-identical to the reference at any tier, permutation and thread
- * count (int32 accumulation is exactly associative).
+ * Tier-generic body of phiGemmWithArenaInto. Per output row and column
+ * block, the row's Level 2 corrections are gathered into signed
+ * pointer batches, then one kernel call locates the Level 1 rows in the
+ * contiguous arena by pattern id and reduces everything in registers.
+ * Every output row is written exactly once, so results are
+ * bit-identical at any tier and thread count (int32 accumulation is
+ * exactly associative).
  */
 template <typename Elem>
 void
@@ -388,10 +239,10 @@ serveArena(Matrix<int32_t>& out, const LayerDecomposition& dec,
         rowCounts = localCounts.data();
     }
 
-    // Hoisted per-tile tables, as in the legacy path, plus the tile's
-    // first arena row. The per-tile maximum pattern id is checked once
-    // against the partition's arena rows so the kernel's id arithmetic
-    // is proven in-bounds for the whole call.
+    // Per-tile tables hoisted out of the row loop: the tile's first
+    // arena row, its Level 2 entry stream and its first weight row.
+    // The per-tile maxima are checked once against the arena and the
+    // weights, proving every gather in the call in-bounds.
     std::vector<uint64_t> tileRowBase(numTiles);
     std::vector<const L2Entry*> l2Entries(numTiles);
     std::vector<const uint32_t*> l2Offsets(numTiles);
@@ -428,14 +279,11 @@ serveArena(Matrix<int32_t>& out, const LayerDecomposition& dec,
                                           : nullptr;
     }
 
-    const uint32_t* order =
-        dec.hasServeOrder() ? dec.serveOrder.data() : nullptr;
     const Elem* arenaData = arena.data<Elem>();
     const size_t stride = arena.stride();
-    const bool doPrefetch = exec.prefetchPwp && !arena.empty();
 
     parallelFor(exec, 0, dec.m, kPhiGemmRowGrain,
-                [&](size_t i0, size_t i1) {
+                [&](size_t r0, size_t r1) {
         // One up-front reservation: a row holds at most k entries per
         // tile, so the pointer batches never regrow mid-loop.
         std::vector<const int16_t*> l2pos;
@@ -451,23 +299,7 @@ serveArena(Matrix<int32_t>& out, const LayerDecomposition& dec,
             const Elem* arenaBlock =
                 arena.empty() ? arenaData : arenaData + n0;
 
-            for (size_t i = i0; i < i1; ++i) {
-                const size_t r = order ? order[i] : i;
-                if (doPrefetch && i + 1 < i1) {
-                    // Stream the next visit's Level 1 rows for this
-                    // column block while the current row reduces.
-                    const size_t rn = order ? order[i + 1] : i + 1;
-                    const uint16_t* nids = rowIds + rn * numTiles;
-                    for (size_t t = 0; t < numTiles; ++t)
-                        if (nids[t] != 0)
-                            simd::prefetchSpan(
-                                arenaBlock +
-                                    (tileRowBase[t] + nids[t] -
-                                     size_t{1}) *
-                                        stride,
-                                span * sizeof(Elem));
-                }
-
+            for (size_t r = r0; r < r1; ++r) {
                 const uint16_t* ids = rowIds + r * numTiles;
                 const uint8_t* counts = rowCounts + r * numTiles;
                 l2pos.clear();

@@ -63,7 +63,7 @@ const char* pwpTierName(PwpTier tier);
  * picks the narrowest tier at or above the request that represents
  * every PWP value exactly, so arena serving is always bit-identical to
  * the int32 reference. materialize() widens back to the exact int32
- * matrices for serialization and the legacy path.
+ * matrices for serialization.
  */
 class PwpArena
 {
@@ -167,11 +167,9 @@ std::vector<Matrix<int32_t>> computeLayerPwps(
  * (Level 1) and apply signed weight-row corrections (Level 2), reducing
  * over partitions. Must equal spikeGemm(acts, weights) exactly.
  *
- * Runs on the shared execution engine: row blocks in parallel, and
- * within each block rows are regrouped by pattern id per partition so
- * one PWP row is broadcast-accumulated into every row that matched it
- * while it is cache-hot (N-blocked by exec.tileN). Accumulation is pure
- * int32, so results are bit-identical at any thread count and tiling.
+ * The reference form of the one serve path: it computes the layer's
+ * PWPs, packs them into an int32 PwpArena and serves through
+ * phiGemmWithArena.
  */
 Matrix<int32_t> phiGemm(const LayerDecomposition& dec,
                         const PatternTable& table,
@@ -179,35 +177,16 @@ Matrix<int32_t> phiGemm(const LayerDecomposition& dec,
                         const ExecutionConfig& exec = {});
 
 /**
- * As phiGemm, but reusing PWPs precomputed by computeLayerPwps — the
- * steady-state path when weights are bound once and many activation
- * batches stream through (LayerPipeline caches them this way).
- */
-Matrix<int32_t> phiGemmWithPwps(const LayerDecomposition& dec,
-                                const std::vector<Matrix<int32_t>>& pwps,
-                                const Matrix<int16_t>& weights,
-                                const ExecutionConfig& exec = {});
-
-/**
- * As phiGemmWithPwps, but computing into a caller-owned output matrix
- * of shape dec.m x weights.cols(); every row (padding included) is
- * overwritten, so the prior contents don't matter. Lets the serving
- * runtime pre-allocate responses outside its batch loop so worker
- * threads never contend in the allocator.
- */
-void phiGemmWithPwpsInto(Matrix<int32_t>& out,
-                         const LayerDecomposition& dec,
-                         const std::vector<Matrix<int32_t>>& pwps,
-                         const Matrix<int16_t>& weights,
-                         const ExecutionConfig& exec = {});
-
-/**
- * As phiGemmWithPwps, but serving from a contiguous PwpArena (any
- * tier): rows are visited in dec.serveOrder (natural order when the
- * permutation is absent) and written to their original output slots,
- * Level 1 rows are gathered straight out of the arena by pattern id,
- * and quantized arenas are widened in-register. Bit-identical to
- * phiGemmWithPwps at every tier and thread count.
+ * Serve a decomposition from PWPs precomputed into a contiguous
+ * PwpArena (any tier), writing into a caller-owned output matrix of
+ * shape dec.m x weights.cols(). Rows are swept in parallel in natural
+ * order; each row's Level 1 rows are gathered straight out of the
+ * arena by pattern id (quantized arenas widen in-register) and its
+ * Level 2 corrections are added or subtracted in the same kernel
+ * pass. Every row (padding included) is overwritten, so the prior
+ * contents don't matter — the serving runtime pre-allocates responses
+ * outside its batch loop. Bit-identical to spikeGemm at every tier
+ * and thread count.
  */
 void phiGemmWithArenaInto(Matrix<int32_t>& out,
                           const LayerDecomposition& dec,

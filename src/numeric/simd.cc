@@ -25,34 +25,6 @@ namespace
 // ---- Scalar backend -------------------------------------------------
 
 void
-scalarAddRowI16(int32_t* out, const int16_t* w, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] += w[i];
-}
-
-void
-scalarSubRowI16(int32_t* out, const int16_t* w, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] -= w[i];
-}
-
-void
-scalarAddRowI32(int32_t* out, const int32_t* src, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] += src[i];
-}
-
-void
-scalarAddRowF32(float* out, const float* src, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] += src[i];
-}
-
-void
 scalarFmaRowF32(float* out, const float* src, float a, size_t n)
 {
     for (size_t i = 0; i < n; ++i)
@@ -64,7 +36,8 @@ scalarAddRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
                  size_t n)
 {
     for (size_t j = 0; j < m; ++j)
-        scalarAddRowI16(out, rows[j], n);
+        for (size_t i = 0; i < n; ++i)
+            out[i] += rows[j][i];
 }
 
 void
@@ -72,79 +45,17 @@ scalarAddRowsF32(float* out, const float* const* rows, size_t m,
                  size_t n)
 {
     for (size_t j = 0; j < m; ++j)
-        scalarAddRowF32(out, rows[j], n);
-}
-
-void
-scalarAddRowsI32(int32_t* out, const int32_t* const* rows, size_t m,
-                 size_t n)
-{
-    for (size_t j = 0; j < m; ++j)
-        scalarAddRowI32(out, rows[j], n);
-}
-
-void
-scalarSubRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
-                 size_t n)
-{
-    for (size_t j = 0; j < m; ++j)
-        scalarSubRowI16(out, rows[j], n);
+        for (size_t i = 0; i < n; ++i)
+            out[i] += rows[j][i];
 }
 
 void
 scalarStoreRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
                    size_t n)
 {
-    if (m == 0) {
-        for (size_t i = 0; i < n; ++i)
-            out[i] = 0;
-        return;
-    }
     for (size_t i = 0; i < n; ++i)
-        out[i] = rows[0][i];
-    for (size_t j = 1; j < m; ++j)
-        scalarAddRowI16(out, rows[j], n);
-}
-
-void
-scalarStoreRowsI32(int32_t* out, const int32_t* const* rows, size_t m,
-                   size_t n)
-{
-    if (m == 0) {
-        for (size_t i = 0; i < n; ++i)
-            out[i] = 0;
-        return;
-    }
-    for (size_t i = 0; i < n; ++i)
-        out[i] = rows[0][i];
-    for (size_t j = 1; j < m; ++j)
-        scalarAddRowI32(out, rows[j], n);
-}
-
-void
-scalarFusedStoreAddSub(int32_t* out, const int32_t* const* base,
-                       size_t nBase, const int16_t* const* pos,
-                       size_t nPos, const int16_t* const* neg,
-                       size_t nNeg, size_t n)
-{
-    scalarStoreRowsI32(out, base, nBase, n);
-    scalarAddRowsI16(out, pos, nPos, n);
-    scalarSubRowsI16(out, neg, nNeg, n);
-}
-
-void
-scalarAddRowI8(int32_t* out, const int8_t* w, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] += w[i];
-}
-
-void
-scalarAddRowsI8(int32_t* out, const int8_t* const* rows, size_t m,
-                size_t n)
-{
-    for (size_t j = 0; j < m; ++j)
-        scalarAddRowI8(out, rows[j], n);
+        out[i] = 0;
+    scalarAddRowsI16(out, rows, m, n);
 }
 
 /** Shared scalar body for the three arena element widths. */
@@ -166,7 +77,9 @@ scalarPwpGather(int32_t* out, const Elem* arena, const uint64_t* rowBase,
             out[i] += row[i];
     }
     scalarAddRowsI16(out, pos, nPos, n);
-    scalarSubRowsI16(out, neg, nNeg, n);
+    for (size_t j = 0; j < nNeg; ++j)
+        for (size_t i = 0; i < n; ++i)
+            out[i] -= neg[j][i];
 }
 
 void
@@ -222,21 +135,12 @@ scalarHammingScan(uint64_t row, const uint64_t* pats, size_t n,
 constexpr Kernels kScalarKernels = {
     .isa = SimdIsa::Scalar,
     .name = "scalar",
-    .addRowI16 = scalarAddRowI16,
     .addRowsI16 = scalarAddRowsI16,
     .addRowsF32 = scalarAddRowsF32,
-    .addRowsI32 = scalarAddRowsI32,
     .storeRowsI16 = scalarStoreRowsI16,
-    .storeRowsI32 = scalarStoreRowsI32,
-    .fusedStoreAddSub = scalarFusedStoreAddSub,
-    .subRowI16 = scalarSubRowI16,
-    .subRowsI16 = scalarSubRowsI16,
-    .addRowI32 = scalarAddRowI32,
-    .addRowF32 = scalarAddRowF32,
     .fmaRowF32 = scalarFmaRowF32,
     .popcountWords = scalarPopcountWords,
     .hammingScan = scalarHammingScan,
-    .addRowsI8 = scalarAddRowsI8,
     .pwpGatherI32 = scalarPwpGatherI32,
     .pwpGatherI16 = scalarPwpGatherI16,
     .pwpGatherI8 = scalarPwpGatherI8,

@@ -48,16 +48,12 @@ struct Kernels
     SimdIsa isa;
     const char* name;
 
-    /** out[i] += w[i] for i in [0, n), int16 widened to int32. */
-    void (*addRowI16)(int32_t* out, const int16_t* w, size_t n);
-
     /**
      * out[i] += sum_j rows[j][i] for j in [0, m) ascending, i in
-     * [0, n) — the multi-row form of addRowI16. Backends keep the
-     * accumulators in registers across the j loop, so the output row
-     * is loaded and stored once per column block instead of once per
-     * source row; per output element the adds still happen in j order,
-     * matching repeated addRowI16 calls bit-for-bit.
+     * [0, n), int16 widened to int32. Backends keep the accumulators
+     * in registers across the j loop, so the output row is loaded and
+     * stored once per column block instead of once per source row;
+     * per output element the adds still happen in j order.
      */
     void (*addRowsI16)(int32_t* out, const int16_t* const* rows,
                        size_t m, size_t n);
@@ -65,10 +61,6 @@ struct Kernels
     /** Multi-row accumulate, float flavour (same ordering contract). */
     void (*addRowsF32)(float* out, const float* const* rows, size_t m,
                        size_t n);
-
-    /** Multi-row accumulate, int32 sources (the PWP-row reduction). */
-    void (*addRowsI32)(int32_t* out, const int32_t* const* rows,
-                       size_t m, size_t n);
 
     /**
      * Overwriting multi-row reduction: out[i] = sum_j rows[j][i]
@@ -78,35 +70,6 @@ struct Kernels
      */
     void (*storeRowsI16)(int32_t* out, const int16_t* const* rows,
                          size_t m, size_t n);
-
-    /** Overwriting multi-row reduction, int32 sources. */
-    void (*storeRowsI32)(int32_t* out, const int32_t* const* rows,
-                         size_t m, size_t n);
-
-    /**
-     * Fused hierarchical row reduction — the phiGemm inner loop:
-     * out[i] = sum_j base[j][i] + sum_j pos[j][i] - sum_j neg[j][i]
-     * (int16 sources widened; all three sums may be empty, which
-     * zeroes the span). One call holds the output block in registers
-     * across every source row instead of storing between phases.
-     */
-    void (*fusedStoreAddSub)(int32_t* out, const int32_t* const* base,
-                             size_t nBase, const int16_t* const* pos,
-                             size_t nPos, const int16_t* const* neg,
-                             size_t nNeg, size_t n);
-
-    /** out[i] -= w[i] for i in [0, n), int16 widened to int32. */
-    void (*subRowI16)(int32_t* out, const int16_t* w, size_t n);
-
-    /** Multi-row subtract: out[i] -= sum_j rows[j][i] (j ascending). */
-    void (*subRowsI16)(int32_t* out, const int16_t* const* rows,
-                       size_t m, size_t n);
-
-    /** out[i] += src[i] for i in [0, n). */
-    void (*addRowI32)(int32_t* out, const int32_t* src, size_t n);
-
-    /** out[i] += src[i] for i in [0, n). */
-    void (*addRowF32)(float* out, const float* src, size_t n);
 
     /** out[i] += a * src[i] for i in [0, n); mul-then-add per element
      *  (never fused), matching the scalar rounding exactly. */
@@ -122,11 +85,6 @@ struct Kernels
     void (*hammingScan)(uint64_t row, const uint64_t* pats, size_t n,
                         uint8_t* dist);
 
-    /** Multi-row accumulate, int8 sources widened to int32 (the
-     *  quantized-PWP flavour of addRowsI16; same j-order contract). */
-    void (*addRowsI8)(int32_t* out, const int8_t* const* rows, size_t m,
-                      size_t n);
-
     /**
      * Arena-gather serving kernel — the phiGemm inner loop over the
      * contiguous PWP arena. For each tile t in [0, numTiles) with
@@ -139,8 +97,7 @@ struct Kernels
      * pointer array per output row — keeps the whole row's accumulators
      * in registers for a single pass over every source row, which is
      * where the arena layout's bandwidth win is realised. Tiles are
-     * visited in ascending t, then pos, then neg, matching
-     * fusedStoreAddSub ordering bit-for-bit.
+     * visited in ascending t, then pos, then neg.
      *
      * The I16/I8 variants read a quantized arena and widen; since the
      * arena is built only when quantization is exact, all three produce
@@ -167,28 +124,6 @@ struct Kernels
 };
 
 /**
- * Software-prefetch hint for an upcoming row-group: touch every cache
- * line of [p, p + bytes) with read intent. Backend-independent (the
- * builtin compiles to PREFETCHT0 on x86, PRFM on AArch64, and a no-op
- * where unsupported); purely a hint, never required for correctness.
- * The arena serving path issues it for the next row-group only when
- * the arena is too large to stay cache-resident — for small arenas the
- * extra instruction stream costs more than the hint saves.
- */
-inline void
-prefetchSpan(const void* p, size_t bytes)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    const char* c = static_cast<const char*>(p);
-    for (size_t i = 0; i < bytes; i += 64)
-        __builtin_prefetch(c + i, 0, 3);
-#else
-    (void)p;
-    (void)bytes;
-#endif
-}
-
-/**
  * Resolve a backend. Auto uses the cached PHI_SIMD/CPUID resolution;
  * explicit requests fall back to Scalar when unavailable. The returned
  * reference is to static storage and valid forever.
@@ -209,18 +144,6 @@ std::vector<SimdIsa> availableIsas();
 
 // Typed dispatch helpers for templated kernels (spikeGemmImpl).
 inline void
-accumulateRow(const Kernels& k, int32_t* out, const int16_t* w, size_t n)
-{
-    k.addRowI16(out, w, n);
-}
-
-inline void
-accumulateRow(const Kernels& k, float* out, const float* w, size_t n)
-{
-    k.addRowF32(out, w, n);
-}
-
-inline void
 accumulateRows(const Kernels& k, int32_t* out,
                const int16_t* const* rows, size_t m, size_t n)
 {
@@ -239,13 +162,6 @@ storeRows(const Kernels& k, int32_t* out, const int16_t* const* rows,
           size_t m, size_t n)
 {
     k.storeRowsI16(out, rows, m, n);
-}
-
-inline void
-storeRows(const Kernels& k, int32_t* out, const int32_t* const* rows,
-          size_t m, size_t n)
-{
-    k.storeRowsI32(out, rows, m, n);
 }
 
 // Per-backend kernel tables, defined in their own translation units.

@@ -27,28 +27,6 @@ namespace
 {
 
 void
-avx2AddRowI16(int32_t* out, const int16_t* w, size_t n)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256i wv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-        const __m256i lo =
-            _mm256_cvtepi16_epi32(_mm256_castsi256_si128(wv));
-        const __m256i hi =
-            _mm256_cvtepi16_epi32(_mm256_extracti128_si256(wv, 1));
-        __m256i* o0 = reinterpret_cast<__m256i*>(out + i);
-        __m256i* o1 = reinterpret_cast<__m256i*>(out + i + 8);
-        _mm256_storeu_si256(
-            o0, _mm256_add_epi32(_mm256_loadu_si256(o0), lo));
-        _mm256_storeu_si256(
-            o1, _mm256_add_epi32(_mm256_loadu_si256(o1), hi));
-    }
-    for (; i < n; ++i)
-        out[i] += w[i];
-}
-
-void
 avx2AddRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
                size_t n)
 {
@@ -103,36 +81,6 @@ avx2AddRowsF32(float* out, const float* const* rows, size_t m, size_t n)
 }
 
 void
-avx2AddRowsI32(int32_t* out, const int32_t* const* rows, size_t m,
-               size_t n)
-{
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m256i a0 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i*>(out + c));
-        __m256i a1 = _mm256_loadu_si256(
-            reinterpret_cast<__m256i*>(out + c + 8));
-        for (size_t j = 0; j < m; ++j) {
-            a0 = _mm256_add_epi32(
-                a0, _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(rows[j] + c)));
-            a1 = _mm256_add_epi32(
-                a1, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                        rows[j] + c + 8)));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c), a0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c + 8),
-                            a1);
-    }
-    for (; c < n; ++c) {
-        int32_t acc = out[c];
-        for (size_t j = 0; j < m; ++j)
-            acc += rows[j][c];
-        out[c] = acc;
-    }
-}
-
-void
 avx2StoreRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
                  size_t n)
 {
@@ -162,86 +110,6 @@ avx2StoreRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
     }
 }
 
-void
-avx2StoreRowsI32(int32_t* out, const int32_t* const* rows, size_t m,
-                 size_t n)
-{
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m256i a0 = _mm256_setzero_si256();
-        __m256i a1 = _mm256_setzero_si256();
-        for (size_t j = 0; j < m; ++j) {
-            a0 = _mm256_add_epi32(
-                a0, _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(rows[j] + c)));
-            a1 = _mm256_add_epi32(
-                a1, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                        rows[j] + c + 8)));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c), a0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c + 8),
-                            a1);
-    }
-    for (; c < n; ++c) {
-        int32_t acc = 0;
-        for (size_t j = 0; j < m; ++j)
-            acc += rows[j][c];
-        out[c] = acc;
-    }
-}
-
-void
-avx2FusedStoreAddSub(int32_t* out, const int32_t* const* base,
-                     size_t nBase, const int16_t* const* pos,
-                     size_t nPos, const int16_t* const* neg,
-                     size_t nNeg, size_t n)
-{
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m256i a0 = _mm256_setzero_si256();
-        __m256i a1 = _mm256_setzero_si256();
-        for (size_t j = 0; j < nBase; ++j) {
-            a0 = _mm256_add_epi32(
-                a0, _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(base[j] + c)));
-            a1 = _mm256_add_epi32(
-                a1, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                        base[j] + c + 8)));
-        }
-        for (size_t j = 0; j < nPos; ++j) {
-            a0 = _mm256_add_epi32(
-                a0, _mm256_cvtepi16_epi32(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(pos[j] + c))));
-            a1 = _mm256_add_epi32(
-                a1, _mm256_cvtepi16_epi32(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(pos[j] + c +
-                                                         8))));
-        }
-        for (size_t j = 0; j < nNeg; ++j) {
-            a0 = _mm256_sub_epi32(
-                a0, _mm256_cvtepi16_epi32(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(neg[j] + c))));
-            a1 = _mm256_sub_epi32(
-                a1, _mm256_cvtepi16_epi32(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(neg[j] + c +
-                                                         8))));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c), a0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c + 8),
-                            a1);
-    }
-    for (; c < n; ++c) {
-        int32_t acc = 0;
-        for (size_t j = 0; j < nBase; ++j)
-            acc += base[j][c];
-        for (size_t j = 0; j < nPos; ++j)
-            acc += pos[j][c];
-        for (size_t j = 0; j < nNeg; ++j)
-            acc -= neg[j][c];
-        out[c] = acc;
-    }
-}
-
 // 8 int32 lanes widened from each arena element width.
 inline __m256i
 load8(const int32_t* p)
@@ -262,31 +130,6 @@ load8(const int8_t* p)
     // vpmovsxbd widens the low 8 bytes of the 128-bit source.
     return _mm256_cvtepi8_epi32(
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-}
-
-void
-avx2AddRowsI8(int32_t* out, const int8_t* const* rows, size_t m,
-              size_t n)
-{
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m256i* o0 = reinterpret_cast<__m256i*>(out + c);
-        __m256i* o1 = reinterpret_cast<__m256i*>(out + c + 8);
-        __m256i a0 = _mm256_loadu_si256(o0);
-        __m256i a1 = _mm256_loadu_si256(o1);
-        for (size_t j = 0; j < m; ++j) {
-            a0 = _mm256_add_epi32(a0, load8(rows[j] + c));
-            a1 = _mm256_add_epi32(a1, load8(rows[j] + c + 8));
-        }
-        _mm256_storeu_si256(o0, a0);
-        _mm256_storeu_si256(o1, a1);
-    }
-    for (; c < n; ++c) {
-        int32_t acc = out[c];
-        for (size_t j = 0; j < m; ++j)
-            acc += rows[j][c];
-        out[c] = acc;
-    }
 }
 
 /**
@@ -407,95 +250,6 @@ avx2PwpGatherI8(int32_t* out, const int8_t* arena,
 }
 
 void
-avx2SubRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
-               size_t n)
-{
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m256i* o0 = reinterpret_cast<__m256i*>(out + c);
-        __m256i* o1 = reinterpret_cast<__m256i*>(out + c + 8);
-        __m256i a0 = _mm256_loadu_si256(o0);
-        __m256i a1 = _mm256_loadu_si256(o1);
-        for (size_t j = 0; j < m; ++j) {
-            a0 = _mm256_sub_epi32(
-                a0, _mm256_cvtepi16_epi32(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(rows[j] + c))));
-            a1 = _mm256_sub_epi32(
-                a1, _mm256_cvtepi16_epi32(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(rows[j] + c +
-                                                         8))));
-        }
-        _mm256_storeu_si256(o0, a0);
-        _mm256_storeu_si256(o1, a1);
-    }
-    for (; c < n; ++c) {
-        int32_t acc = out[c];
-        for (size_t j = 0; j < m; ++j)
-            acc -= rows[j][c];
-        out[c] = acc;
-    }
-}
-
-void
-avx2SubRowI16(int32_t* out, const int16_t* w, size_t n)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256i wv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-        const __m256i lo =
-            _mm256_cvtepi16_epi32(_mm256_castsi256_si128(wv));
-        const __m256i hi =
-            _mm256_cvtepi16_epi32(_mm256_extracti128_si256(wv, 1));
-        __m256i* o0 = reinterpret_cast<__m256i*>(out + i);
-        __m256i* o1 = reinterpret_cast<__m256i*>(out + i + 8);
-        _mm256_storeu_si256(
-            o0, _mm256_sub_epi32(_mm256_loadu_si256(o0), lo));
-        _mm256_storeu_si256(
-            o1, _mm256_sub_epi32(_mm256_loadu_si256(o1), hi));
-    }
-    for (; i < n; ++i)
-        out[i] -= w[i];
-}
-
-void
-avx2AddRowI32(int32_t* out, const int32_t* src, size_t n)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256i s0 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(src + i));
-        const __m256i s1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(src + i + 8));
-        __m256i* o0 = reinterpret_cast<__m256i*>(out + i);
-        __m256i* o1 = reinterpret_cast<__m256i*>(out + i + 8);
-        _mm256_storeu_si256(
-            o0, _mm256_add_epi32(_mm256_loadu_si256(o0), s0));
-        _mm256_storeu_si256(
-            o1, _mm256_add_epi32(_mm256_loadu_si256(o1), s1));
-    }
-    for (; i < n; ++i)
-        out[i] += src[i];
-}
-
-void
-avx2AddRowF32(float* out, const float* src, size_t n)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256 s0 = _mm256_loadu_ps(src + i);
-        const __m256 s1 = _mm256_loadu_ps(src + i + 8);
-        _mm256_storeu_ps(out + i,
-                         _mm256_add_ps(_mm256_loadu_ps(out + i), s0));
-        _mm256_storeu_ps(
-            out + i + 8,
-            _mm256_add_ps(_mm256_loadu_ps(out + i + 8), s1));
-    }
-    for (; i < n; ++i)
-        out[i] += src[i];
-}
-
-void
 avx2FmaRowF32(float* out, const float* src, float a, size_t n)
 {
     const __m256 av = _mm256_set1_ps(a);
@@ -579,21 +333,12 @@ avx2HammingScan(uint64_t row, const uint64_t* pats, size_t n,
 constexpr Kernels kAvx2Kernels = {
     .isa = SimdIsa::Avx2,
     .name = "avx2",
-    .addRowI16 = avx2AddRowI16,
     .addRowsI16 = avx2AddRowsI16,
     .addRowsF32 = avx2AddRowsF32,
-    .addRowsI32 = avx2AddRowsI32,
     .storeRowsI16 = avx2StoreRowsI16,
-    .storeRowsI32 = avx2StoreRowsI32,
-    .fusedStoreAddSub = avx2FusedStoreAddSub,
-    .subRowI16 = avx2SubRowI16,
-    .subRowsI16 = avx2SubRowsI16,
-    .addRowI32 = avx2AddRowI32,
-    .addRowF32 = avx2AddRowF32,
     .fmaRowF32 = avx2FmaRowF32,
     .popcountWords = avx2PopcountWords,
     .hammingScan = avx2HammingScan,
-    .addRowsI8 = avx2AddRowsI8,
     .pwpGatherI32 = avx2PwpGatherI32,
     .pwpGatherI16 = avx2PwpGatherI16,
     .pwpGatherI8 = avx2PwpGatherI8,

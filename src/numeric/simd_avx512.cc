@@ -34,28 +34,6 @@ tailMask16(size_t rem)
 }
 
 void
-avx512AddRowI16(int32_t* out, const int16_t* w, size_t n)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m512i wv = _mm512_cvtepi16_epi32(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(w + i)));
-        _mm512_storeu_si512(
-            out + i,
-            _mm512_add_epi32(_mm512_loadu_si512(out + i), wv));
-    }
-    if (i < n) {
-        const __mmask16 m = tailMask16(n - i);
-        const __m512i wv = _mm512_cvtepi16_epi32(
-            _mm256_maskz_loadu_epi16(m, w + i));
-        _mm512_mask_storeu_epi32(
-            out + i, m,
-            _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, out + i),
-                             wv));
-    }
-}
-
-void
 avx512AddRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
                  size_t n)
 {
@@ -103,28 +81,6 @@ avx512AddRowsF32(float* out, const float* const* rows, size_t m,
 }
 
 void
-avx512AddRowsI32(int32_t* out, const int32_t* const* rows, size_t m,
-                 size_t n)
-{
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m512i acc = _mm512_loadu_si512(out + c);
-        for (size_t j = 0; j < m; ++j)
-            acc = _mm512_add_epi32(acc,
-                                   _mm512_loadu_si512(rows[j] + c));
-        _mm512_storeu_si512(out + c, acc);
-    }
-    if (c < n) {
-        const __mmask16 mask = tailMask16(n - c);
-        __m512i acc = _mm512_maskz_loadu_epi32(mask, out + c);
-        for (size_t j = 0; j < m; ++j)
-            acc = _mm512_add_epi32(
-                acc, _mm512_maskz_loadu_epi32(mask, rows[j] + c));
-        _mm512_mask_storeu_epi32(out + c, mask, acc);
-    }
-}
-
-void
 avx512StoreRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
                    size_t n)
 {
@@ -145,70 +101,6 @@ avx512StoreRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
             acc = _mm512_add_epi32(
                 acc, _mm512_cvtepi16_epi32(
                          _mm256_maskz_loadu_epi16(mask, rows[j] + c)));
-        _mm512_mask_storeu_epi32(out + c, mask, acc);
-    }
-}
-
-void
-avx512StoreRowsI32(int32_t* out, const int32_t* const* rows, size_t m,
-                   size_t n)
-{
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m512i acc = _mm512_setzero_si512();
-        for (size_t j = 0; j < m; ++j)
-            acc = _mm512_add_epi32(acc,
-                                   _mm512_loadu_si512(rows[j] + c));
-        _mm512_storeu_si512(out + c, acc);
-    }
-    if (c < n) {
-        const __mmask16 mask = tailMask16(n - c);
-        __m512i acc = _mm512_setzero_si512();
-        for (size_t j = 0; j < m; ++j)
-            acc = _mm512_add_epi32(
-                acc, _mm512_maskz_loadu_epi32(mask, rows[j] + c));
-        _mm512_mask_storeu_epi32(out + c, mask, acc);
-    }
-}
-
-void
-avx512FusedStoreAddSub(int32_t* out, const int32_t* const* base,
-                       size_t nBase, const int16_t* const* pos,
-                       size_t nPos, const int16_t* const* neg,
-                       size_t nNeg, size_t n)
-{
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m512i acc = _mm512_setzero_si512();
-        for (size_t j = 0; j < nBase; ++j)
-            acc = _mm512_add_epi32(acc,
-                                   _mm512_loadu_si512(base[j] + c));
-        for (size_t j = 0; j < nPos; ++j)
-            acc = _mm512_add_epi32(
-                acc, _mm512_cvtepi16_epi32(_mm256_loadu_si256(
-                         reinterpret_cast<const __m256i*>(pos[j] +
-                                                          c))));
-        for (size_t j = 0; j < nNeg; ++j)
-            acc = _mm512_sub_epi32(
-                acc, _mm512_cvtepi16_epi32(_mm256_loadu_si256(
-                         reinterpret_cast<const __m256i*>(neg[j] +
-                                                          c))));
-        _mm512_storeu_si512(out + c, acc);
-    }
-    if (c < n) {
-        const __mmask16 mask = tailMask16(n - c);
-        __m512i acc = _mm512_setzero_si512();
-        for (size_t j = 0; j < nBase; ++j)
-            acc = _mm512_add_epi32(
-                acc, _mm512_maskz_loadu_epi32(mask, base[j] + c));
-        for (size_t j = 0; j < nPos; ++j)
-            acc = _mm512_add_epi32(
-                acc, _mm512_cvtepi16_epi32(
-                         _mm256_maskz_loadu_epi16(mask, pos[j] + c)));
-        for (size_t j = 0; j < nNeg; ++j)
-            acc = _mm512_sub_epi32(
-                acc, _mm512_cvtepi16_epi32(
-                         _mm256_maskz_loadu_epi16(mask, neg[j] + c)));
         _mm512_mask_storeu_epi32(out + c, mask, acc);
     }
 }
@@ -250,26 +142,6 @@ inline __m512i
 load16Tail(__mmask16 mask, const int8_t* p)
 {
     return _mm512_cvtepi8_epi32(_mm_maskz_loadu_epi8(mask, p));
-}
-
-void
-avx512AddRowsI8(int32_t* out, const int8_t* const* rows, size_t m,
-                size_t n)
-{
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m512i acc = _mm512_loadu_si512(out + c);
-        for (size_t j = 0; j < m; ++j)
-            acc = _mm512_add_epi32(acc, load16(rows[j] + c));
-        _mm512_storeu_si512(out + c, acc);
-    }
-    if (c < n) {
-        const __mmask16 mask = tailMask16(n - c);
-        __m512i acc = _mm512_maskz_loadu_epi32(mask, out + c);
-        for (size_t j = 0; j < m; ++j)
-            acc = _mm512_add_epi32(acc, load16Tail(mask, rows[j] + c));
-        _mm512_mask_storeu_epi32(out + c, mask, acc);
-    }
 }
 
 /**
@@ -395,88 +267,6 @@ avx512PwpGatherI8(int32_t* out, const int8_t* arena,
 }
 
 void
-avx512SubRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
-                 size_t n)
-{
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m512i acc = _mm512_loadu_si512(out + c);
-        for (size_t j = 0; j < m; ++j)
-            acc = _mm512_sub_epi32(
-                acc, _mm512_cvtepi16_epi32(_mm256_loadu_si256(
-                         reinterpret_cast<const __m256i*>(rows[j] +
-                                                          c))));
-        _mm512_storeu_si512(out + c, acc);
-    }
-    if (c < n) {
-        const __mmask16 mask = tailMask16(n - c);
-        __m512i acc = _mm512_maskz_loadu_epi32(mask, out + c);
-        for (size_t j = 0; j < m; ++j)
-            acc = _mm512_sub_epi32(
-                acc, _mm512_cvtepi16_epi32(
-                         _mm256_maskz_loadu_epi16(mask, rows[j] + c)));
-        _mm512_mask_storeu_epi32(out + c, mask, acc);
-    }
-}
-
-void
-avx512SubRowI16(int32_t* out, const int16_t* w, size_t n)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m512i wv = _mm512_cvtepi16_epi32(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(w + i)));
-        _mm512_storeu_si512(
-            out + i,
-            _mm512_sub_epi32(_mm512_loadu_si512(out + i), wv));
-    }
-    if (i < n) {
-        const __mmask16 m = tailMask16(n - i);
-        const __m512i wv = _mm512_cvtepi16_epi32(
-            _mm256_maskz_loadu_epi16(m, w + i));
-        _mm512_mask_storeu_epi32(
-            out + i, m,
-            _mm512_sub_epi32(_mm512_maskz_loadu_epi32(m, out + i),
-                             wv));
-    }
-}
-
-void
-avx512AddRowI32(int32_t* out, const int32_t* src, size_t n)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16)
-        _mm512_storeu_si512(
-            out + i,
-            _mm512_add_epi32(_mm512_loadu_si512(out + i),
-                             _mm512_loadu_si512(src + i)));
-    if (i < n) {
-        const __mmask16 m = tailMask16(n - i);
-        _mm512_mask_storeu_epi32(
-            out + i, m,
-            _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, out + i),
-                             _mm512_maskz_loadu_epi32(m, src + i)));
-    }
-}
-
-void
-avx512AddRowF32(float* out, const float* src, size_t n)
-{
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16)
-        _mm512_storeu_ps(out + i,
-                         _mm512_add_ps(_mm512_loadu_ps(out + i),
-                                       _mm512_loadu_ps(src + i)));
-    if (i < n) {
-        const __mmask16 m = tailMask16(n - i);
-        _mm512_mask_storeu_ps(
-            out + i, m,
-            _mm512_add_ps(_mm512_maskz_loadu_ps(m, out + i),
-                          _mm512_maskz_loadu_ps(m, src + i)));
-    }
-}
-
-void
 avx512FmaRowF32(float* out, const float* src, float a, size_t n)
 {
     const __m512 av = _mm512_set1_ps(a);
@@ -554,21 +344,12 @@ avx512HammingScan(uint64_t row, const uint64_t* pats, size_t n,
 constexpr Kernels kAvx512Kernels = {
     .isa = SimdIsa::Avx512,
     .name = "avx512",
-    .addRowI16 = avx512AddRowI16,
     .addRowsI16 = avx512AddRowsI16,
     .addRowsF32 = avx512AddRowsF32,
-    .addRowsI32 = avx512AddRowsI32,
     .storeRowsI16 = avx512StoreRowsI16,
-    .storeRowsI32 = avx512StoreRowsI32,
-    .fusedStoreAddSub = avx512FusedStoreAddSub,
-    .subRowI16 = avx512SubRowI16,
-    .subRowsI16 = avx512SubRowsI16,
-    .addRowI32 = avx512AddRowI32,
-    .addRowF32 = avx512AddRowF32,
     .fmaRowF32 = avx512FmaRowF32,
     .popcountWords = avx512PopcountWords,
     .hammingScan = avx512HammingScan,
-    .addRowsI8 = avx512AddRowsI8,
     .pwpGatherI32 = avx512PwpGatherI32,
     .pwpGatherI16 = avx512PwpGatherI16,
     .pwpGatherI8 = avx512PwpGatherI8,

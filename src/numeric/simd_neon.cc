@@ -22,21 +22,6 @@ namespace
 {
 
 void
-neonAddRowI16(int32_t* out, const int16_t* w, size_t n)
-{
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const int16x8_t wv = vld1q_s16(w + i);
-        vst1q_s32(out + i,
-                  vaddw_s16(vld1q_s32(out + i), vget_low_s16(wv)));
-        vst1q_s32(out + i + 4,
-                  vaddw_high_s16(vld1q_s32(out + i + 4), wv));
-    }
-    for (; i < n; ++i)
-        out[i] += w[i];
-}
-
-void
 neonAddRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
                size_t n)
 {
@@ -84,29 +69,6 @@ neonAddRowsF32(float* out, const float* const* rows, size_t m, size_t n)
 }
 
 void
-neonAddRowsI32(int32_t* out, const int32_t* const* rows, size_t m,
-               size_t n)
-{
-    size_t c = 0;
-    for (; c + 8 <= n; c += 8) {
-        int32x4_t a0 = vld1q_s32(out + c);
-        int32x4_t a1 = vld1q_s32(out + c + 4);
-        for (size_t j = 0; j < m; ++j) {
-            a0 = vaddq_s32(a0, vld1q_s32(rows[j] + c));
-            a1 = vaddq_s32(a1, vld1q_s32(rows[j] + c + 4));
-        }
-        vst1q_s32(out + c, a0);
-        vst1q_s32(out + c + 4, a1);
-    }
-    for (; c < n; ++c) {
-        int32_t acc = out[c];
-        for (size_t j = 0; j < m; ++j)
-            acc += rows[j][c];
-        out[c] = acc;
-    }
-}
-
-void
 neonStoreRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
                  size_t n)
 {
@@ -126,68 +88,6 @@ neonStoreRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
         int32_t acc = 0;
         for (size_t j = 0; j < m; ++j)
             acc += rows[j][c];
-        out[c] = acc;
-    }
-}
-
-void
-neonStoreRowsI32(int32_t* out, const int32_t* const* rows, size_t m,
-                 size_t n)
-{
-    size_t c = 0;
-    for (; c + 8 <= n; c += 8) {
-        int32x4_t a0 = vdupq_n_s32(0);
-        int32x4_t a1 = vdupq_n_s32(0);
-        for (size_t j = 0; j < m; ++j) {
-            a0 = vaddq_s32(a0, vld1q_s32(rows[j] + c));
-            a1 = vaddq_s32(a1, vld1q_s32(rows[j] + c + 4));
-        }
-        vst1q_s32(out + c, a0);
-        vst1q_s32(out + c + 4, a1);
-    }
-    for (; c < n; ++c) {
-        int32_t acc = 0;
-        for (size_t j = 0; j < m; ++j)
-            acc += rows[j][c];
-        out[c] = acc;
-    }
-}
-
-void
-neonFusedStoreAddSub(int32_t* out, const int32_t* const* base,
-                     size_t nBase, const int16_t* const* pos,
-                     size_t nPos, const int16_t* const* neg,
-                     size_t nNeg, size_t n)
-{
-    size_t c = 0;
-    for (; c + 8 <= n; c += 8) {
-        int32x4_t a0 = vdupq_n_s32(0);
-        int32x4_t a1 = vdupq_n_s32(0);
-        for (size_t j = 0; j < nBase; ++j) {
-            a0 = vaddq_s32(a0, vld1q_s32(base[j] + c));
-            a1 = vaddq_s32(a1, vld1q_s32(base[j] + c + 4));
-        }
-        for (size_t j = 0; j < nPos; ++j) {
-            const int16x8_t wv = vld1q_s16(pos[j] + c);
-            a0 = vaddw_s16(a0, vget_low_s16(wv));
-            a1 = vaddw_high_s16(a1, wv);
-        }
-        for (size_t j = 0; j < nNeg; ++j) {
-            const int16x8_t wv = vld1q_s16(neg[j] + c);
-            a0 = vsubw_s16(a0, vget_low_s16(wv));
-            a1 = vsubw_high_s16(a1, wv);
-        }
-        vst1q_s32(out + c, a0);
-        vst1q_s32(out + c + 4, a1);
-    }
-    for (; c < n; ++c) {
-        int32_t acc = 0;
-        for (size_t j = 0; j < nBase; ++j)
-            acc += base[j][c];
-        for (size_t j = 0; j < nPos; ++j)
-            acc += pos[j][c];
-        for (size_t j = 0; j < nNeg; ++j)
-            acc -= neg[j][c];
         out[c] = acc;
     }
 }
@@ -215,27 +115,6 @@ accum8(int32x4_t& a0, int32x4_t& a1, const int8_t* p)
     const int16x8_t wv = vmovl_s8(vld1_s8(p));
     a0 = vaddw_s16(a0, vget_low_s16(wv));
     a1 = vaddw_high_s16(a1, wv);
-}
-
-void
-neonAddRowsI8(int32_t* out, const int8_t* const* rows, size_t m,
-              size_t n)
-{
-    size_t c = 0;
-    for (; c + 8 <= n; c += 8) {
-        int32x4_t a0 = vld1q_s32(out + c);
-        int32x4_t a1 = vld1q_s32(out + c + 4);
-        for (size_t j = 0; j < m; ++j)
-            accum8(a0, a1, rows[j] + c);
-        vst1q_s32(out + c, a0);
-        vst1q_s32(out + c + 4, a1);
-    }
-    for (; c < n; ++c) {
-        int32_t acc = out[c];
-        for (size_t j = 0; j < m; ++j)
-            acc += rows[j][c];
-        out[c] = acc;
-    }
 }
 
 /**
@@ -353,73 +232,6 @@ neonPwpGatherI8(int32_t* out, const int8_t* arena,
 }
 
 void
-neonSubRowsI16(int32_t* out, const int16_t* const* rows, size_t m,
-               size_t n)
-{
-    size_t c = 0;
-    for (; c + 8 <= n; c += 8) {
-        int32x4_t a0 = vld1q_s32(out + c);
-        int32x4_t a1 = vld1q_s32(out + c + 4);
-        for (size_t j = 0; j < m; ++j) {
-            const int16x8_t wv = vld1q_s16(rows[j] + c);
-            a0 = vsubw_s16(a0, vget_low_s16(wv));
-            a1 = vsubw_high_s16(a1, wv);
-        }
-        vst1q_s32(out + c, a0);
-        vst1q_s32(out + c + 4, a1);
-    }
-    for (; c < n; ++c) {
-        int32_t acc = out[c];
-        for (size_t j = 0; j < m; ++j)
-            acc -= rows[j][c];
-        out[c] = acc;
-    }
-}
-
-void
-neonSubRowI16(int32_t* out, const int16_t* w, size_t n)
-{
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const int16x8_t wv = vld1q_s16(w + i);
-        vst1q_s32(out + i,
-                  vsubw_s16(vld1q_s32(out + i), vget_low_s16(wv)));
-        vst1q_s32(out + i + 4,
-                  vsubw_high_s16(vld1q_s32(out + i + 4), wv));
-    }
-    for (; i < n; ++i)
-        out[i] -= w[i];
-}
-
-void
-neonAddRowI32(int32_t* out, const int32_t* src, size_t n)
-{
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        vst1q_s32(out + i,
-                  vaddq_s32(vld1q_s32(out + i), vld1q_s32(src + i)));
-        vst1q_s32(out + i + 4, vaddq_s32(vld1q_s32(out + i + 4),
-                                         vld1q_s32(src + i + 4)));
-    }
-    for (; i < n; ++i)
-        out[i] += src[i];
-}
-
-void
-neonAddRowF32(float* out, const float* src, size_t n)
-{
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        vst1q_f32(out + i,
-                  vaddq_f32(vld1q_f32(out + i), vld1q_f32(src + i)));
-        vst1q_f32(out + i + 4, vaddq_f32(vld1q_f32(out + i + 4),
-                                         vld1q_f32(src + i + 4)));
-    }
-    for (; i < n; ++i)
-        out[i] += src[i];
-}
-
-void
 neonFmaRowF32(float* out, const float* src, float a, size_t n)
 {
     const float32x4_t av = vdupq_n_f32(a);
@@ -471,21 +283,12 @@ neonHammingScan(uint64_t row, const uint64_t* pats, size_t n,
 constexpr Kernels kNeonKernels = {
     .isa = SimdIsa::Neon,
     .name = "neon",
-    .addRowI16 = neonAddRowI16,
     .addRowsI16 = neonAddRowsI16,
     .addRowsF32 = neonAddRowsF32,
-    .addRowsI32 = neonAddRowsI32,
     .storeRowsI16 = neonStoreRowsI16,
-    .storeRowsI32 = neonStoreRowsI32,
-    .fusedStoreAddSub = neonFusedStoreAddSub,
-    .subRowI16 = neonSubRowI16,
-    .subRowsI16 = neonSubRowsI16,
-    .addRowI32 = neonAddRowI32,
-    .addRowF32 = neonAddRowF32,
     .fmaRowF32 = neonFmaRowF32,
     .popcountWords = neonPopcountWords,
     .hammingScan = neonHammingScan,
-    .addRowsI8 = neonAddRowsI8,
     .pwpGatherI32 = neonPwpGatherI32,
     .pwpGatherI16 = neonPwpGatherI16,
     .pwpGatherI8 = neonPwpGatherI8,

@@ -207,8 +207,8 @@ PhiEngine::flushImpl()
             const EngineRequest& req = queue[i];
             const CompiledLayer& l = req.pin->layer(req.layer);
             EngineResponse& resp = responses[i];
-            resp.dec = l.decompose(req.acts(), exec);
-            l.computeInto(resp.out, resp.dec, exec);
+            l.computeInto(resp.out, l.decompose(req.acts(), exec),
+                          exec);
             latencyScratch[i] = secondsSince(reqStart);
         }
     });

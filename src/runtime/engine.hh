@@ -86,10 +86,6 @@ struct EngineResponse
 
     size_t layer = 0;
     Matrix<int32_t> out;
-
-    /** Decomposition is returned too so callers can account sparsity
-     *  (stats/breakdown) without re-decomposing. */
-    LayerDecomposition dec;
 };
 
 class PhiEngine

@@ -61,7 +61,9 @@ struct PhiArchConfig
     size_t patternIdBytes = 1;  // log2(128)+1 bits, padded
 
     // --- Feature toggles (ablations / Fig. 12 modes) ---
-    bool prefetchPwp = true;   // Sec. 4.4 PWP prefetcher
+    // Sec. 4.4 PWP prefetcher of the modelled accelerator (Fig. 12).
+    // Simulator-only: the software serving path has no prefetch knob.
+    bool prefetchPwp = true;
     bool compressActs = true;  // Sec. 4.2.2 compact structure
     bool perfectL1Skip = false; // perfect vs straightforward skipping
 

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.hh"
 #include "core/calibration.hh"
 #include "core/decompose.hh"
+#include "numeric/simd.hh"
 
 namespace phi
 {
@@ -88,13 +92,36 @@ TEST(PatternAssigner, PicksMinimumHammingPattern)
     EXPECT_EQ(r.nnz(), 1);
 }
 
-TEST(PatternAssigner, MemoisationReturnsSameResult)
+TEST(PatternAssigner, EqualPatternsGoToTheEarliest)
 {
-    PatternSet ps(16, {0xF0F0, 0x0F0F});
+    // 0111 is one bit from both 0011 and 0110 (and three from empty):
+    // the first pattern in table order wins the tie.
+    PatternSet ps(4, {0b0011, 0b0110, 0b0011});
     PatternAssigner a(ps);
-    const RowAssignment& first = a.assign(0xF0F1);
-    const RowAssignment& second = a.assign(0xF0F1);
-    EXPECT_EQ(&first, &second) << "expected cached object reuse";
+    EXPECT_EQ(a.assign(0b0111).patternId, 1);
+    EXPECT_EQ(a.assign(0b0011).patternId, 1) << "duplicate pattern";
+    EXPECT_EQ(a.assign(0b1110).patternId, 2);
+}
+
+TEST(PatternAssigner, ScansEveryBlockOfALargeTable)
+{
+    // 200 patterns span four 64-pattern scan blocks. Fill them with
+    // far-away values, then plant the unique nearest pattern in the
+    // third block and an exact match (twice) in the fourth.
+    std::vector<uint64_t> pats(200, 0xFF00);
+    pats[150] = 0x00F1;
+    pats[190] = 0x00F3;
+    pats[195] = 0x00F3;
+    PatternSet ps(16, pats);
+    for (SimdIsa isa : simd::availableIsas()) {
+        PatternAssigner a(ps, isa);
+        const RowAssignment near = a.assign(0x00F0);
+        EXPECT_EQ(near.patternId, 151) << simdIsaName(isa);
+        EXPECT_EQ(near.negMask, 0x0001u) << simdIsaName(isa);
+        const RowAssignment exact = a.assign(0x00F3);
+        EXPECT_EQ(exact.patternId, 191) << simdIsaName(isa);
+        EXPECT_EQ(exact.nnz(), 0) << simdIsaName(isa);
+    }
 }
 
 TEST(Decompose, TileCsrLayoutIsConsistent)
@@ -192,6 +219,171 @@ TEST(Decompose, L2NeverExceedsBitNnz)
             EXPECT_LE(hi - lo,
                       static_cast<uint32_t>(popcount64(row)));
         }
+    }
+}
+
+/**
+ * Brute-force oracle for one decomposed layer: the assignment rule as
+ * a plain loop (strict improvement over the row's popcount, earliest
+ * pattern on ties) and the Level 2 entries it implies, in ascending
+ * column order.
+ */
+void
+expectMatchesOracle(const BinaryMatrix& acts, const PatternTable& table,
+                    const LayerDecomposition& dec, const std::string& what)
+{
+    const int k = table.k();
+    ASSERT_EQ(dec.m, acts.rows()) << what;
+    ASSERT_EQ(dec.kTotal, acts.cols()) << what;
+    ASSERT_EQ(dec.tiles.size(),
+              ceilDiv(acts.cols(), static_cast<size_t>(k)))
+        << what;
+    for (size_t p = 0; p < dec.tiles.size(); ++p) {
+        const TileDecomposition& tile = dec.tiles[p];
+        const std::vector<uint64_t>& pats = table.partition(p).patterns();
+        ASSERT_EQ(tile.numRows(), acts.rows()) << what;
+        for (size_t r = 0; r < acts.rows(); ++r) {
+            const uint64_t row =
+                acts.extract(r, p * static_cast<size_t>(k), k);
+            uint16_t id = 0;
+            uint64_t pat = 0;
+            int best = popcount64(row);
+            for (size_t i = 0; i < pats.size(); ++i) {
+                const int d = popcount64(row ^ pats[i]);
+                if (d < best) {
+                    best = d;
+                    id = static_cast<uint16_t>(i + 1);
+                    pat = pats[i];
+                }
+            }
+            ASSERT_EQ(tile.patternIds[r], id)
+                << what << " partition " << p << " row " << r;
+            std::vector<std::pair<int, int>> want;
+            for (int b = 0; b < k; ++b) {
+                const bool inRow = (row >> b) & 1;
+                const bool inPat = (pat >> b) & 1;
+                if (inRow != inPat)
+                    want.emplace_back(b, inRow ? 1 : -1);
+            }
+            std::vector<std::pair<int, int>> got;
+            auto [lo, hi] = tile.rowRange(r);
+            for (uint32_t e = lo; e < hi; ++e)
+                got.emplace_back(tile.l2Entries[e].col,
+                                 tile.l2Entries[e].sign);
+            ASSERT_EQ(got, want)
+                << what << " partition " << p << " row " << r;
+        }
+    }
+}
+
+/** A calibrated-looking layer: q patterns per partition (the last
+ *  duplicating the first, so ties between patterns occur), rows drawn
+ *  near the patterns, all-zero rows, and an optional empty set. */
+struct OracleLayer
+{
+    BinaryMatrix acts;
+    PatternTable table;
+};
+
+OracleLayer
+oracleLayer(size_t m, size_t kTotal, int k, size_t q, uint64_t seed,
+            bool emptyFirstPartition)
+{
+    Rng rng(seed);
+    const size_t parts = ceilDiv(kTotal, static_cast<size_t>(k));
+    std::vector<PatternSet> sets;
+    for (size_t p = 0; p < parts; ++p) {
+        const size_t width =
+            std::min(static_cast<size_t>(k), kTotal - p * k);
+        const uint64_t mask = lowMask(static_cast<int>(width));
+        std::vector<uint64_t> pats;
+        if (!(emptyFirstPartition && p == 0)) {
+            for (size_t i = 0; i < q; ++i)
+                pats.push_back(rng.next() & rng.next() & mask);
+            if (q > 1)
+                pats.back() = pats.front();
+        }
+        sets.emplace_back(k, std::move(pats));
+    }
+    PatternTable table(k, std::move(sets));
+
+    BinaryMatrix acts(m, kTotal);
+    for (size_t r = 0; r < m; ++r) {
+        for (size_t p = 0; p < parts; ++p) {
+            const size_t start = p * static_cast<size_t>(k);
+            const size_t width =
+                std::min(static_cast<size_t>(k), kTotal - start);
+            const uint64_t mask = lowMask(static_cast<int>(width));
+            const auto& pats = table.partition(p).patterns();
+            uint64_t v = 0;
+            const int pick = static_cast<int>(rng.nextBounded(4));
+            if (pick == 1 && !pats.empty()) {
+                // A pattern with up to three bits flipped.
+                v = pats[rng.nextBounded(pats.size())];
+                for (int f = static_cast<int>(rng.nextBounded(4)); f > 0;
+                     --f)
+                    v ^= 1ull << rng.nextBounded(width);
+            } else if (pick >= 2) {
+                v = rng.next() & rng.next() & rng.next();
+            }
+            acts.deposit(r, start, static_cast<int>(width), v & mask);
+        }
+    }
+    return {std::move(acts), std::move(table)};
+}
+
+TEST(Decompose, BitIdenticalAcrossIsaAndThreads)
+{
+    struct Case
+    {
+        size_t m, kTotal;
+        int k;
+        size_t q;
+        bool emptyFirst;
+    };
+    std::vector<Case> cases;
+    // q crosses the 64-pattern scan block and every SIMD tail; 53
+    // columns leave a ragged 5-bit final partition.
+    for (size_t q : {1, 13, 64, 127, 128, 200})
+        cases.push_back({300, 53, 16, q, false});
+    cases.push_back({300, 145, 64, 64, false}); // k = 64, ragged
+    cases.push_back({100, 40, 16, 13, true});   // empty PatternSet
+
+    for (const Case& c : cases) {
+        const OracleLayer layer =
+            oracleLayer(c.m, c.kTotal, c.k, c.q, c.q * 7 + c.k, c.emptyFirst);
+        for (SimdIsa isa : simd::availableIsas()) {
+            for (int threads : {1, 2, 8}) {
+                ExecutionConfig exec;
+                exec.threads = threads;
+                exec.isa = isa;
+                const std::string what =
+                    std::string(simdIsaName(isa)) + " threads=" +
+                    std::to_string(threads) + " k=" +
+                    std::to_string(c.k) + " q=" + std::to_string(c.q);
+                expectMatchesOracle(
+                    layer.acts, layer.table,
+                    decomposeLayer(layer.acts, layer.table, exec), what);
+            }
+        }
+    }
+
+    // Exhaustive 4-bit rows against a table with ties of every kind:
+    // 0010 ties 0011 against its own popcount (no pattern), 0111 ties
+    // 0011 and 0110 (earliest wins), 0011 repeats (earliest wins).
+    const PatternSet ties(4, {0b0011, 0b0110, 0b0011});
+    const PatternTable table(4, {ties, ties, PatternSet(4, {})});
+    BinaryMatrix acts(16, 10);
+    for (size_t r = 0; r < 16; ++r) {
+        acts.deposit(r, 0, 4, r);
+        acts.deposit(r, 4, 4, 15 - r);
+        acts.deposit(r, 8, 2, r & 3);
+    }
+    for (SimdIsa isa : simd::availableIsas()) {
+        ExecutionConfig exec;
+        exec.isa = isa;
+        expectMatchesOracle(acts, table, decomposeLayer(acts, table, exec),
+                            simdIsaName(isa));
     }
 }
 

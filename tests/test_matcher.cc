@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the systolic pattern matcher: functional equivalence with
- * the algorithmic assigner and the throughput model.
+ * the algorithmic assigner on every SIMD backend, and the throughput
+ * model.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "arch/pattern_matcher.hh"
 #include "common/rng.hh"
 #include "core/kmeans.hh"
+#include "numeric/simd.hh"
 
 namespace phi
 {
@@ -29,35 +31,54 @@ randomPatterns(int k, size_t q, uint64_t seed)
     return PatternSet(k, pats);
 }
 
+/** Batch-match rows on one backend. */
+std::vector<RowAssignment>
+matchOn(const PatternMatcher& matcher, const std::vector<uint64_t>& rows,
+        SimdIsa isa)
+{
+    ExecutionConfig exec;
+    exec.isa = isa;
+    return matcher.matchAll(rows, exec);
+}
+
+/** Every backend's matchAll, and match(), equal the scalar assigner. */
+void
+expectAgreesWithAssigner(const PatternSet& ps,
+                         const std::vector<uint64_t>& rows)
+{
+    PatternMatcher matcher(ps);
+    PatternAssigner assigner(ps, SimdIsa::Scalar);
+    for (SimdIsa isa : simd::availableIsas()) {
+        const auto got = matchOn(matcher, rows, isa);
+        ASSERT_EQ(got.size(), rows.size());
+        for (size_t i = 0; i < rows.size(); ++i) {
+            const RowAssignment a = assigner.assign(rows[i]);
+            const RowAssignment one = matcher.match(rows[i]);
+            EXPECT_EQ(got[i].patternId, a.patternId)
+                << simdIsaName(isa) << " row " << rows[i];
+            EXPECT_EQ(got[i].posMask, a.posMask) << simdIsaName(isa);
+            EXPECT_EQ(got[i].negMask, a.negMask) << simdIsaName(isa);
+            EXPECT_EQ(one.patternId, a.patternId) << "row " << rows[i];
+        }
+    }
+}
+
 TEST(Matcher, AgreesWithAssignerOnAllValues)
 {
     // 8-bit tiles: check all 256 possible rows against 16 patterns.
-    PatternSet ps = randomPatterns(8, 16, 1);
-    PatternMatcher matcher(ps);
-    PatternAssigner assigner(ps);
-    for (uint64_t row = 0; row < 256; ++row) {
-        RowAssignment m = matcher.match(row);
-        const RowAssignment& a = assigner.assign(row);
-        EXPECT_EQ(m.patternId, a.patternId) << "row " << row;
-        EXPECT_EQ(m.posMask, a.posMask) << "row " << row;
-        EXPECT_EQ(m.negMask, a.negMask) << "row " << row;
-    }
+    std::vector<uint64_t> rows(256);
+    for (uint64_t row = 0; row < 256; ++row)
+        rows[row] = row;
+    expectAgreesWithAssigner(randomPatterns(8, 16, 1), rows);
 }
 
 TEST(Matcher, AgreesWithAssignerOn16BitSamples)
 {
-    PatternSet ps = randomPatterns(16, 128, 2);
-    PatternMatcher matcher(ps);
-    PatternAssigner assigner(ps);
     Rng rng(3);
-    for (int i = 0; i < 5000; ++i) {
-        uint64_t row = rng.next() & 0xffff;
-        RowAssignment m = matcher.match(row);
-        const RowAssignment& a = assigner.assign(row);
-        EXPECT_EQ(m.patternId, a.patternId);
-        EXPECT_EQ(m.posMask, a.posMask);
-        EXPECT_EQ(m.negMask, a.negMask);
-    }
+    std::vector<uint64_t> rows(5000);
+    for (auto& row : rows)
+        row = rng.next() & 0xffff;
+    expectAgreesWithAssigner(randomPatterns(16, 128, 2), rows);
 }
 
 TEST(Matcher, DifferencePopcountIsMinimal)
@@ -65,14 +86,19 @@ TEST(Matcher, DifferencePopcountIsMinimal)
     PatternSet ps = randomPatterns(16, 64, 4);
     PatternMatcher matcher(ps);
     Rng rng(5);
-    for (int i = 0; i < 2000; ++i) {
-        uint64_t row = rng.next() & 0xffff;
-        RowAssignment m = matcher.match(row);
-        const int chosen = m.nnz();
-        // No pattern (or baseline) may beat the chosen count.
-        EXPECT_LE(chosen, popcount64(row));
-        for (uint64_t p : ps.patterns())
-            EXPECT_LE(chosen, hammingDistance(row, p));
+    std::vector<uint64_t> rows(2000);
+    for (auto& row : rows)
+        row = rng.next() & 0xffff;
+    for (SimdIsa isa : simd::availableIsas()) {
+        const auto got = matchOn(matcher, rows, isa);
+        for (size_t i = 0; i < rows.size(); ++i) {
+            const int chosen = got[i].nnz();
+            // No pattern (or baseline) may beat the chosen count.
+            EXPECT_LE(chosen, popcount64(rows[i])) << simdIsaName(isa);
+            for (uint64_t p : ps.patterns())
+                EXPECT_LE(chosen, hammingDistance(rows[i], p))
+                    << simdIsaName(isa);
+        }
     }
 }
 

@@ -1,18 +1,15 @@
 /**
  * @file
- * PwpArena tests: the tiled-contiguous serving path (with and without
- * the pattern-locality permutation, at every quantization tier) must
- * be bit-identical to the legacy per-partition path and to spikeGemm,
- * on every compiled-in SIMD backend; tier selection must be provably
- * lossless (narrower only when every value round-trips, silent
- * fallback otherwise); and the bandwidth accounting must match the
- * layout.
+ * PwpArena tests: the tiled-contiguous serving path must be
+ * bit-identical to spikeGemm at every quantization tier, on every
+ * compiled-in SIMD backend; tier selection must be provably lossless
+ * (narrower only when every value round-trips, silent fallback
+ * otherwise); and the bandwidth accounting must match the layout.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/rng.hh"
 #include "core/calibration.hh"
@@ -113,46 +110,6 @@ TEST(PwpArena, TierFootprintScalesWithElementWidth)
     EXPECT_EQ(fp.at(PwpTier::Int32), pwpBytes(table, 32, 4));
 }
 
-TEST(ServeOrder, IsADeterministicPermutation)
-{
-    Rng rng(23);
-    BinaryMatrix acts = BinaryMatrix::random(90, 48, 0.2, rng);
-    CalibrationConfig cfg;
-    cfg.k = 16;
-    cfg.q = 16;
-    PatternTable table = calibrateLayer(acts, cfg);
-    LayerDecomposition dec = decomposeLayer(acts, table);
-    ASSERT_TRUE(dec.hasServeOrder());
-
-    std::vector<uint32_t> sorted = dec.serveOrder;
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<uint32_t> iota(dec.m);
-    std::iota(iota.begin(), iota.end(), 0u);
-    EXPECT_EQ(sorted, iota) << "serveOrder is not a permutation";
-
-    // Pure function of the decomposition: a rebuild reproduces it.
-    LayerDecomposition again = decomposeLayer(acts, table);
-    EXPECT_EQ(again.serveOrder, dec.serveOrder);
-}
-
-TEST(ServeOrder, SinglePatternLayerStaysInNaturalOrder)
-{
-    // Every row gets the same signature; the stable sort must keep
-    // the original order (ties never reorder).
-    Rng rng(29);
-    BinaryMatrix acts = BinaryMatrix::random(40, 16, 0.9, rng);
-    PatternTable table(16, {PatternSet(16, {0xFFFF})});
-    LayerDecomposition dec = decomposeLayer(acts, table);
-    bool allSame = true;
-    for (uint16_t id : dec.tiles[0].patternIds)
-        allSame = allSame && id == dec.tiles[0].patternIds[0];
-    if (allSame) {
-        std::vector<uint32_t> iota(dec.m);
-        std::iota(iota.begin(), iota.end(), 0u);
-        EXPECT_EQ(dec.serveOrder, iota);
-    }
-}
-
 TEST(ServeOrder, CachedTileMaximaMatchTheTiles)
 {
     Rng rng(31);
@@ -186,6 +143,8 @@ class PwpArenaSweep : public ::testing::TestWithParam<ArenaShape>
 {
 };
 
+// The test ID predates the removal of the per-partition serve path;
+// the sweep now checks every tier and backend against spikeGemm.
 TEST_P(PwpArenaSweep, ArenaServingIsBitIdenticalToLegacyAndReference)
 {
     const auto p = GetParam();
@@ -204,15 +163,12 @@ TEST_P(PwpArenaSweep, ArenaServingIsBitIdenticalToLegacyAndReference)
     cfg.q = p.q;
     PatternTable table = calibrateLayer(acts, cfg);
     LayerDecomposition dec = decomposeLayer(acts, table);
-    LayerDecomposition natural = dec;
-    natural.serveOrder.clear();
 
     ExecutionConfig scalar;
     scalar.threads = 1;
     scalar.isa = SimdIsa::Scalar;
     const Matrix<int32_t> ref = spikeGemm(acts, w, scalar);
     const auto pwps = computeLayerPwps(table, w, scalar);
-    EXPECT_EQ(phiGemmWithPwps(dec, pwps, w, scalar), ref);
 
     for (PwpTier tier : kAllTiers) {
         PwpArena arena(pwps, p.n, tier);
@@ -221,11 +177,7 @@ TEST_P(PwpArenaSweep, ArenaServingIsBitIdenticalToLegacyAndReference)
             exec.threads = 3; // exercise the parallel chunking too
             exec.isa = isa;
             EXPECT_EQ(phiGemmWithArena(dec, arena, w, exec), ref)
-                << pwpTierName(tier) << " permuted on "
-                << simdIsaName(isa);
-            EXPECT_EQ(phiGemmWithArena(natural, arena, w, exec), ref)
-                << pwpTierName(tier) << " natural on "
-                << simdIsaName(isa);
+                << pwpTierName(tier) << " on " << simdIsaName(isa);
         }
     }
 }
@@ -263,8 +215,10 @@ TEST(PwpArenaServe, EmptyPatternTableServesPureL2)
     }
 }
 
-TEST(PwpArenaServe, PrefetchKnobNeverChangesResults)
+TEST(PwpArenaServe, ServesDecompositionsWithoutCachedIndex)
 {
+    // A hand-assembled decomposition carries tiles only: serving must
+    // rebuild the row-major index and per-tile maxima itself.
     Rng rng(47);
     BinaryMatrix acts = BinaryMatrix::random(70, 48, 0.2, rng);
     Matrix<int16_t> w = test::randomWeights(48, 40, 48);
@@ -273,14 +227,18 @@ TEST(PwpArenaServe, PrefetchKnobNeverChangesResults)
     cfg.q = 16;
     PatternTable table = calibrateLayer(acts, cfg);
     LayerDecomposition dec = decomposeLayer(acts, table);
-    const auto pwps = computeLayerPwps(table, w);
-    PwpArena arena(pwps, 40, PwpTier::Int16);
+    LayerDecomposition bare;
+    bare.m = dec.m;
+    bare.kTotal = dec.kTotal;
+    bare.k = dec.k;
+    bare.tiles = dec.tiles;
+    ASSERT_FALSE(bare.hasRowIndex());
+    ASSERT_FALSE(bare.hasTileMaxima());
 
-    ExecutionConfig off;
-    ExecutionConfig on;
-    on.prefetchPwp = true;
-    EXPECT_EQ(phiGemmWithArena(dec, arena, w, on),
-              phiGemmWithArena(dec, arena, w, off));
+    const Matrix<int32_t> ref = spikeGemm(acts, w);
+    EXPECT_EQ(phiGemm(bare, table, w), ref);
+    const PwpArena arena(computeLayerPwps(table, w), 40, PwpTier::Int16);
+    EXPECT_EQ(phiGemmWithArena(bare, arena, w), ref);
 }
 
 } // namespace

@@ -209,7 +209,9 @@ TEST_F(SessionManagerTest, ConcurrentInterleavedSessionsStayBitExact)
     }
 
     std::vector<std::thread> clients;
-    std::vector<bool> matched(kSessions, false);
+    // One byte per client: vector<bool> packs bits, so concurrent
+    // writes to neighbouring entries would race.
+    std::vector<char> matched(kSessions, 0);
     for (size_t i = 0; i < kSessions; ++i) {
         clients.emplace_back([&, i] {
             const uint64_t sid = mgr.open("m");
