@@ -59,6 +59,7 @@
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "core/pipeline.hh"
+#include "core/stats.hh"
 #include "net/client.hh"
 #include "net/server.hh"
 #include "numeric/simd.hh"
@@ -209,9 +210,9 @@ runConfig(const CompiledModel& model,
             s.requests,
             s.throughputRps(),
             s.rowThroughputRps(),
-            s.latencyPercentileMs(50),
-            s.latencyPercentileMs(99),
-            s.meanLatencyMs()};
+            s.latency.percentileMs(50),
+            s.latency.percentileMs(99),
+            s.latency.meanMs()};
 }
 
 /**
@@ -254,9 +255,9 @@ runAsyncConfig(const CompiledModel& model,
             s.requests,
             s.throughputRps(),
             s.rowThroughputRps(),
-            s.latencyPercentileMs(50),
-            s.latencyPercentileMs(99),
-            s.meanLatencyMs(),
+            s.latency.percentileMs(50),
+            s.latency.percentileMs(99),
+            s.latency.meanMs(),
             s.meanQueueDepth(),
             s.meanLingerMicros(),
             s.dispatches,
@@ -288,7 +289,7 @@ runResilienceConfig(const CompiledModel& model,
     engine.submit(0, requests[0]).get(); // warm-up
 
     constexpr int kProducers = 4;
-    std::vector<std::vector<double>> servedMs(kProducers);
+    std::vector<LatencyHistogram> served(kProducers);
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
         producers.emplace_back([&, p] {
@@ -310,10 +311,9 @@ runResilienceConfig(const CompiledModel& model,
             for (size_t i = 0; i < futures.size(); ++i) {
                 try {
                     futures[i].get();
-                    servedMs[p].push_back(
-                        std::chrono::duration<double, std::milli>(
-                            Clock::now() - starts[i])
-                            .count());
+                    served[p].record(std::chrono::duration<double>(
+                                         Clock::now() - starts[i])
+                                         .count());
                 } catch (const EngineError&) {
                     // expired (or shed); counted from engine stats
                 }
@@ -324,23 +324,17 @@ runResilienceConfig(const CompiledModel& model,
         t.join();
     engine.drain();
 
-    std::vector<double> all;
-    for (const auto& v : servedMs)
-        all.insert(all.end(), v.begin(), v.end());
-    std::sort(all.begin(), all.end());
-    const double p99 =
-        all.empty()
-            ? 0.0
-            : all[static_cast<size_t>(0.99 *
-                                      static_cast<double>(all.size() - 1))];
+    LatencyHistogram all;
+    for (const LatencyHistogram& h : served)
+        all.merge(h);
     const ServingStats s = engine.stats();
     return {deadlineMs > 0.0 ? "deadline" : "no_deadline",
             deadlineMs,
             static_cast<uint64_t>(offered),
-            static_cast<uint64_t>(all.size()),
+            all.count(),
             s.expired,
-            p99,
-            all.empty() ? 0.0 : all.back()};
+            all.percentileMs(99),
+            all.percentileMs(100)};
 }
 
 /** The temporal chain the session sweep serves: K -> 128 -> 64. */
@@ -430,8 +424,8 @@ runSessionConfig(const std::shared_ptr<ModelRegistry>& registry,
             steps,
             total,
             wallSec > 0.0 ? static_cast<double>(total) / wallSec : 0.0,
-            s.latencyPercentileMs(50),
-            s.latencyPercentileMs(99)};
+            s.latency.percentileMs(50),
+            s.latency.percentileMs(99)};
 }
 
 #ifdef __linux__
@@ -462,7 +456,7 @@ runNetworkConfig(const CompiledModel& model,
     net::PhiServer server(registry, exec, cfg, net::PhiServerConfig{});
     server.start();
 
-    std::vector<std::vector<double>> latencies(
+    std::vector<LatencyHistogram> latencies(
         static_cast<size_t>(connections));
     std::atomic<uint64_t> errors{0};
     const auto wallStart = Clock::now();
@@ -479,9 +473,9 @@ runNetworkConfig(const CompiledModel& model,
                 const auto start = Clock::now();
                 try {
                     client.request("bench", 0, acts);
-                    latencies[static_cast<size_t>(c)].push_back(
-                        std::chrono::duration<double, std::milli>(
-                            Clock::now() - start)
+                    latencies[static_cast<size_t>(c)].record(
+                        std::chrono::duration<double>(Clock::now() -
+                                                      start)
                             .count());
                 } catch (const std::exception&) {
                     ++errors;
@@ -496,25 +490,18 @@ runNetworkConfig(const CompiledModel& model,
     server.requestDrain();
     server.waitUntilStopped();
 
-    std::vector<double> all;
-    for (const auto& v : latencies)
-        all.insert(all.end(), v.begin(), v.end());
-    std::sort(all.begin(), all.end());
-    auto pct = [&](double p) {
-        return all.empty()
-                   ? 0.0
-                   : all[static_cast<size_t>(
-                         p * static_cast<double>(all.size() - 1))];
-    };
-    const uint64_t served = static_cast<uint64_t>(all.size());
+    LatencyHistogram all;
+    for (const LatencyHistogram& h : latencies)
+        all.merge(h);
+    const uint64_t served = all.count();
     return {connections,
             served,
             wallSec > 0.0 ? static_cast<double>(served) / wallSec : 0.0,
             wallSec > 0.0 ? static_cast<double>(served * kRequestRows) /
                                 wallSec
                           : 0.0,
-            pct(0.50),
-            pct(0.99),
+            all.percentileMs(50),
+            all.percentileMs(99),
             errors.load()};
 }
 #endif // __linux__

@@ -467,7 +467,8 @@ main()
     const ServingStats s = server.engine().stats();
     std::cerr << "stats: " << s.requests << " requests in " << s.batches
               << " batches, " << s.dispatches << " dispatches, rps="
-              << s.throughputRps() << ", p99=" << s.latencyPercentileMs(99)
+              << s.throughputRps()
+              << ", p99=" << s.latency.percentileMs(99)
               << "ms, mean queue depth=" << s.meanQueueDepth()
               << ", mean linger=" << s.meanLingerMicros()
               << "us, rejected=" << s.rejected << ", expired="
@@ -475,7 +476,7 @@ main()
               << ", watchdog restarts=" << s.watchdogRestarts << "\n";
     for (const auto& [name, ms] : server.engine().perModelStats())
         std::cerr << "  " << name << ": " << ms.requests
-                  << " requests, p99=" << ms.latencyPercentileMs(99)
+                  << " requests, p99=" << ms.latency.percentileMs(99)
                   << "ms\n";
 
     const bool resilient = deadlineTyped && victimTyped && winnerServed &&

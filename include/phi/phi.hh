@@ -22,6 +22,8 @@
  *     phi::PhiEngine             synchronous batched serving
  *     phi::AsyncPhiEngine        thread-safe futures frontend
  *     phi::ServingStats          per-model + merged counters
+ *     phi::LatencyHistogram      fixed-size, mergeable latency
+ *                                percentiles (within one bucket)
  *     phi::EngineError           typed, recoverable request failures
  *     phi::ExecutionConfig       threads / tiling / SIMD knobs
  *

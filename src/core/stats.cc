@@ -1,6 +1,8 @@
 #include "core/stats.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 namespace phi
 {
@@ -75,15 +77,72 @@ mergeBreakdowns(const std::vector<SparsityBreakdown>& parts)
     return b;
 }
 
-void
-ServingStats::recordLatency(double seconds)
+size_t
+LatencyHistogram::bucketOf(double seconds)
 {
-    if (latencySeconds.size() < kMaxLatencySamples) {
-        latencySeconds.push_back(seconds);
-        return;
-    }
-    latencySeconds[latencyRingNext] = seconds;
-    latencyRingNext = (latencyRingNext + 1) % kMaxLatencySamples;
+    constexpr double kTopUnits =
+        static_cast<double>(uint64_t{1} << (kOctaves + kSubBucketBits));
+    const double units = seconds > 0 ? seconds / kUnitSeconds : 0.0;
+    if (!(units < kTopUnits))
+        return kBuckets - 1;
+    const auto x = static_cast<uint64_t>(units);
+    const int shift =
+        std::max(0, static_cast<int>(std::bit_width(x)) - 1 - kSubBucketBits);
+    return (static_cast<size_t>(shift) << kSubBucketBits) + (x >> shift);
+}
+
+void
+LatencyHistogram::record(double seconds)
+{
+    seconds = seconds > 0 ? seconds : 0.0;
+    counts[bucketOf(seconds)] += 1;
+    samples += 1;
+    sumSeconds += seconds;
+    minSeconds = std::min(minSeconds, seconds);
+    maxSeconds = std::max(maxSeconds, seconds);
+}
+
+void
+LatencyHistogram::merge(const LatencyHistogram& other)
+{
+    for (size_t b = 0; b < kBuckets; ++b)
+        counts[b] += other.counts[b];
+    samples += other.samples;
+    sumSeconds += other.sumSeconds;
+    minSeconds = std::min(minSeconds, other.minSeconds);
+    maxSeconds = std::max(maxSeconds, other.maxSeconds);
+}
+
+double
+LatencyHistogram::meanMs() const
+{
+    return samples > 0 ? sumSeconds / static_cast<double>(samples) * 1e3
+                       : 0.0;
+}
+
+double
+LatencyHistogram::percentileMs(double p) const
+{
+    if (samples == 0)
+        return 0.0;
+    if (!(p > 0))
+        return minSeconds * 1e3;
+    if (p >= 100)
+        return maxSeconds * 1e3;
+    const uint64_t rank = std::min(
+        samples, static_cast<uint64_t>(
+                     std::ceil(p / 100.0 * static_cast<double>(samples))));
+    size_t b = 0;
+    uint64_t seen = counts[0];
+    while (seen < rank)
+        seen += counts[++b];
+    // The bucket's midpoint (bucketOf() inverted), kept inside the
+    // exact extremes so a lone sample reports itself.
+    const int shift = std::max(0, static_cast<int>(b >> kSubBucketBits) - 1);
+    const size_t lower = b - (static_cast<size_t>(shift) << kSubBucketBits);
+    const double mid = std::ldexp(static_cast<double>(lower) + 0.5, shift) *
+                       kUnitSeconds;
+    return std::clamp(mid, minSeconds, maxSeconds) * 1e3;
 }
 
 void
@@ -109,15 +168,7 @@ void
 ServingStats::recordDeadlineMiss(double lateSeconds)
 {
     expired += 1;
-    const double lateMs = lateSeconds * 1e3;
-    size_t bucket = kDeadlineMissBuckets - 1;
-    for (size_t i = 0; i < kDeadlineMissBuckets - 1; ++i) {
-        if (lateMs < kDeadlineMissUpperMs[i]) {
-            bucket = i;
-            break;
-        }
-    }
-    deadlineMissHistogram[bucket] += 1;
+    deadlineMiss.record(lateSeconds);
 }
 
 double
@@ -135,31 +186,17 @@ ServingStats::busyFraction() const
     return w > 0 ? busySeconds / w : 0.0;
 }
 
-namespace
-{
-
-/** Elapsed serving time: the monotonic window when one was recorded,
- *  otherwise the busy sum (hand-filled counters, old artifacts). */
-double
-servingSeconds(const ServingStats& s)
-{
-    const double w = s.windowSeconds();
-    return w > 0 ? w : s.busySeconds;
-}
-
-} // namespace
-
 double
 ServingStats::throughputRps() const
 {
-    const double secs = servingSeconds(*this);
+    const double secs = windowSeconds();
     return secs > 0 ? static_cast<double>(requests) / secs : 0.0;
 }
 
 double
 ServingStats::rowThroughputRps() const
 {
-    const double secs = servingSeconds(*this);
+    const double secs = windowSeconds();
     return secs > 0 ? static_cast<double>(rows) / secs : 0.0;
 }
 
@@ -177,31 +214,6 @@ ServingStats::meanLingerMicros() const
     return dispatches > 0
                ? lingerSeconds / static_cast<double>(dispatches) * 1e6
                : 0.0;
-}
-
-double
-ServingStats::latencyPercentileMs(double p) const
-{
-    if (latencySeconds.empty())
-        return 0.0;
-    std::vector<double> sorted = latencySeconds;
-    std::sort(sorted.begin(), sorted.end());
-    const double clamped = std::min(100.0, std::max(0.0, p));
-    // Nearest-rank percentile on the sorted samples.
-    const size_t rank = static_cast<size_t>(
-        clamped / 100.0 * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[rank] * 1e3;
-}
-
-double
-ServingStats::meanLatencyMs() const
-{
-    if (latencySeconds.empty())
-        return 0.0;
-    double sum = 0;
-    for (double s : latencySeconds)
-        sum += s;
-    return sum / static_cast<double>(latencySeconds.size()) * 1e3;
 }
 
 uint64_t
@@ -243,16 +255,8 @@ ServingStats::merge(const ServingStats& other)
     sessionsExpired += other.sessionsExpired;
     sessionsRejected += other.sessionsRejected;
     sessionSteps += other.sessionSteps;
-    for (size_t i = 0; i < kDeadlineMissBuckets; ++i)
-        deadlineMissHistogram[i] += other.deadlineMissHistogram[i];
-    // Replay the other ring oldest-first so this ring's recency order
-    // stays meaningful after the merge; a wrapped source ring's oldest
-    // sample sits at its ring cursor, not index 0.
-    const size_t n = other.latencySeconds.size();
-    const size_t start =
-        n == kMaxLatencySamples ? other.latencyRingNext : 0;
-    for (size_t i = 0; i < n; ++i)
-        recordLatency(other.latencySeconds[(start + i) % n]);
+    latency.merge(other.latency);
+    deadlineMiss.merge(other.deadlineMiss);
 }
 
 } // namespace phi

@@ -14,7 +14,10 @@
 #ifndef PHI_CORE_STATS_HH
 #define PHI_CORE_STATS_HH
 
+#include <array>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "core/decompose.hh"
@@ -83,24 +86,56 @@ SparsityBreakdown mergeBreakdowns(
     const std::vector<SparsityBreakdown>& parts);
 
 /**
+ * Latency distribution on fixed log-linear buckets: 16 linear
+ * sub-buckets per power of two of 62.5 ns units, so every bucket from
+ * 1 us up is at most 6.25% wide; samples past ~4295 s (~1.2 h)
+ * saturate into the top bucket. Records in O(1) into a fixed inline
+ * array, and merge() adds buckets, so a merged histogram equals one
+ * that recorded both sample sets. Percentiles are nearest-rank, exact
+ * to within the bucket holding that rank; p0/p100 and the mean are
+ * exact.
+ */
+class LatencyHistogram
+{
+  public:
+    static constexpr int kSubBucketBits = 4;
+    static constexpr int kOctaves = 32; // 1 us .. 2^32 us
+    static constexpr size_t kBuckets = (kOctaves + 1) << kSubBucketBits;
+    static constexpr double kUnitSeconds = 62.5e-9;
+
+    /** Count one sample; negative or NaN counts as 0. */
+    void record(double seconds);
+    void merge(const LatencyHistogram& other);
+    uint64_t count() const { return samples; }
+    /** Mean in milliseconds; 0 when empty. */
+    double meanMs() const;
+    /** Percentile in milliseconds, p in [0, 100]; 0 when empty. */
+    double percentileMs(double p) const;
+
+    static size_t bucketOf(double seconds);
+    const std::array<uint64_t, kBuckets>& buckets() const { return counts; }
+
+  private:
+    std::array<uint64_t, kBuckets> counts{};
+    uint64_t samples = 0;
+    double sumSeconds = 0;
+    double minSeconds = std::numeric_limits<double>::infinity();
+    double maxSeconds = 0;
+};
+
+/**
  * Throughput/latency accounting of the serving runtime (PhiEngine).
  *
  * Counters are cumulative since construction or the last reset; the
  * engine records one latency sample per request (time from the request
  * starting execution to its result being ready) and the wall time of
- * each flushed batch. Only the counters are timing-dependent — served
- * results themselves stay bit-deterministic.
+ * each flushed batch. Latency percentiles therefore cover every
+ * request since construction or reset, exact to within one histogram
+ * bucket. Only the counters are timing-dependent — served results
+ * themselves stay bit-deterministic. Plain data, trivially copyable.
  */
 struct ServingStats
 {
-    /**
-     * Cap on retained latency samples: a sliding window over the most
-     * recent requests, so a long-running engine's memory footprint and
-     * percentile cost stay bounded no matter how many requests it has
-     * served. 8192 samples give sub-percent p99 resolution.
-     */
-    static constexpr size_t kMaxLatencySamples = 8192;
-
     uint64_t requests = 0; // requests completed
     uint64_t batches = 0;  // flush() calls that served >= 1 request
     uint64_t rows = 0;     // activation rows across served requests
@@ -143,32 +178,15 @@ struct ServingStats
     uint64_t sessionsRejected = 0; // opens refused at the session cap
     uint64_t sessionSteps = 0;     // temporal steps served, all sessions
 
-    /**
-     * Deadline-miss histogram: how *late* each expired request was
-     * when it was dropped (bucket upper bounds in
-     * kDeadlineMissUpperMs; the last bucket is unbounded). Expired
-     * totals live in `expired`; this resolves whether misses are
-     * marginal (tighten linger) or catastrophic (shed harder).
-     */
-    static constexpr size_t kDeadlineMissBuckets = 6;
-    static constexpr double kDeadlineMissUpperMs[kDeadlineMissBuckets -
-                                                 1] = {1.0, 10.0, 100.0,
-                                                       1000.0, 10000.0};
-    uint64_t deadlineMissHistogram[kDeadlineMissBuckets] = {};
-
     /** Total coalescing wait the dispatcher *added* (dispatch-ready to
      *  dispatched), excluding queue wait behind earlier flushes. */
     double lingerSeconds = 0;
 
-    /**
-     * Per-request service-time samples, seconds — the most recent
-     * kMaxLatencySamples, maintained as a ring by recordLatency() (so
-     * order is the ring's, not strictly completion order, once full).
-     */
-    std::vector<double> latencySeconds;
-
-    /** Record one sample, evicting the oldest once the window is full. */
-    void recordLatency(double seconds);
+    /** Per-request service time (per frame for sessions). */
+    LatencyHistogram latency;
+    /** How late each expired request was when dropped: marginal
+     *  misses say tighten linger, catastrophic ones say shed harder. */
+    LatencyHistogram deadlineMiss;
 
     /** Widen the monotonic window to cover one flush's [begin, end]
      *  (steady-clock seconds since the clock's epoch). */
@@ -179,7 +197,7 @@ struct ServingStats
     void recordDispatch(size_t queueDepth, double lingerSec);
 
     /** Count one expired request, `lateSeconds` past its deadline when
-     *  dropped (bumps `expired` and the miss histogram). */
+     *  dropped (bumps `expired` and `deadlineMiss`). */
     void recordDeadlineMiss(double lateSeconds);
 
     /** First-flush-start to last-flush-end, seconds (0 before any
@@ -191,9 +209,8 @@ struct ServingStats
     double busyFraction() const;
 
     /**
-     * Requests per second over the monotonic serving window (falls
-     * back to busySeconds when no window was recorded, e.g. counters
-     * filled in by hand). Correct under overlapping flushes, where the
+     * Requests per second over the monotonic serving window (0 before
+     * any flush). Correct under overlapping flushes, where the
      * per-flush busySeconds sum double-counts wall time.
      */
     double throughputRps() const;
@@ -208,15 +225,6 @@ struct ServingStats
     /** Mean micro-batch coalescing wait, microseconds. */
     double meanLingerMicros() const;
 
-    /**
-     * Latency percentile in milliseconds over the recorded samples;
-     * p in [0, 100]. Returns 0 with no samples.
-     */
-    double latencyPercentileMs(double p) const;
-
-    /** Mean request latency in milliseconds. */
-    double meanLatencyMs() const;
-
     /** Sessions open right now (opened minus closed/expired; 0 when
      *  the counters describe a finished workload). */
     uint64_t activeSessions() const;
@@ -226,11 +234,9 @@ struct ServingStats
 
     /** Fold another stats block into this one. */
     void merge(const ServingStats& other);
-
-  private:
-    /** Ring cursor once latencySeconds reaches kMaxLatencySamples. */
-    size_t latencyRingNext = 0;
 };
+
+static_assert(std::is_trivially_copyable_v<ServingStats>);
 
 } // namespace phi
 

@@ -276,9 +276,8 @@ PhiServer::statsText() const
     for (const auto& [name, s] : asyncEngine.perModelStats()) {
         os << "model " << name << " requests " << s.requests
            << " rows " << s.rows << " p50_ms "
-           << s.latencyPercentileMs(50) << " p99_ms "
-           << s.latencyPercentileMs(99) << " expired " << s.expired
-           << " shed " << s.shed << "\n";
+           << s.latency.percentileMs(50) << " p99_ms "
+           << s.latency.percentileMs(99) << "\n";
     }
     os << "end\n";
     return os.str();

@@ -503,9 +503,7 @@ AsyncPhiEngine::stats() const
         snapshot.rejected = rejectedCount;
         snapshot.expired = resilienceStats.expired;
         snapshot.shed = resilienceStats.shed;
-        for (size_t i = 0; i < ServingStats::kDeadlineMissBuckets; ++i)
-            snapshot.deadlineMissHistogram[i] =
-                resilienceStats.deadlineMissHistogram[i];
+        snapshot.deadlineMiss = resilienceStats.deadlineMiss;
     }
     snapshot.watchdogRestarts =
         watchdogRestarts.load(std::memory_order_relaxed);

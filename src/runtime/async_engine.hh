@@ -263,10 +263,11 @@ class AsyncPhiEngine
     /**
      * Forget one model's per-model counters (merged stats untouched).
      * Call after unloading an ephemeral model so a long-running
-     * process cycling many names does not accrete a latency ring per
-     * retired name. Thread-safe: the published snapshot drops
-     * immediately; the dispatcher prunes its own copy on its next
-     * wake-up.
+     * process cycling many names does not accrete one fixed-size stats
+     * block (cumulative since construction, latency percentiles exact
+     * to within one histogram bucket) per retired name. Thread-safe:
+     * the published snapshot drops immediately; the dispatcher prunes
+     * its own copy on its next wake-up.
      */
     void dropStatsFor(const std::string& name)
         EXCLUDES(mutex, statsMutex);

@@ -6,6 +6,7 @@
 // synchronised behind annotated APIs.
 #include "runtime/engine.hh"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/logging.hh"
@@ -217,33 +218,21 @@ PhiEngine::flushImpl()
     const double batchSeconds =
         std::chrono::duration<double>(batchEnd - batchStart).count();
 
-    // Merged process view: recorded once per flush, so nothing is
-    // double-counted however many models shared the batch.
-    counters.busySeconds += batchSeconds;
-    counters.recordFlushWindow(epochSeconds(batchStart),
-                               epochSeconds(batchEnd));
-    counters.batches += 1;
-    counters.requests += n;
-    for (const auto& req : queue)
-        counters.rows += req.acts().rows();
-    for (double s : latencyScratch)
-        counters.recordLatency(s);
-
-    // Per-model view: requests/rows/latencies are attributed exactly;
-    // the flush's wall time, window and batch count go once to every
-    // distinct model that took part in it (its requests really did
-    // occupy that flush).
-    std::vector<ServingStats*> touched;
+    // Requests, rows and latencies go to the merged view and, exactly,
+    // to their model's. The flush's wall time, window and batch count go
+    // once to the merged view (never double-counted however many models
+    // shared the batch) and once to every distinct model that took part
+    // in it (its requests really did occupy that flush).
+    std::vector<ServingStats*> touched = {&counters};
     for (size_t i = 0; i < n; ++i) {
         const EngineRequest& req = queue[i];
         ServingStats& ms = modelCounters[req.pin.handle.name];
-        ms.requests += 1;
-        ms.rows += req.acts().rows();
-        ms.recordLatency(latencyScratch[i]);
-        bool seen = false;
-        for (const ServingStats* t : touched)
-            seen = seen || t == &ms;
-        if (!seen)
+        for (ServingStats* s : {&counters, &ms}) {
+            s->requests += 1;
+            s->rows += req.acts().rows();
+            s->latency.record(latencyScratch[i]);
+        }
+        if (std::find(touched.begin(), touched.end(), &ms) == touched.end())
             touched.push_back(&ms);
     }
     for (ServingStats* ms : touched) {

@@ -257,11 +257,12 @@ class PhiEngine
 
     /**
      * Forget one model's per-model counters (the merged process view
-     * is untouched). Serving processes that cycle many ephemeral
-     * model names call this after unload() so retired names do not
-     * accrete latency rings forever. Same thread-affinity contract as
-     * the rest of PhiEngine (not thread-safe); the async frontend
-     * routes its own dropStatsFor() through the dispatcher.
+     * is untouched): each name keeps a fixed-size block, latencies
+     * cumulative since construction or resetStats() and exact to
+     * within one histogram bucket, until dropped here after unload().
+     * Same thread-affinity contract as the rest of PhiEngine (not
+     * thread-safe); the async frontend routes its own dropStatsFor()
+     * through the dispatcher.
      */
     void dropStatsFor(const std::string& name)
     {

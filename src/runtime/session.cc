@@ -584,7 +584,7 @@ SessionManager::pumpLoop()
                 }
                 if (!p.error) {
                     counters.sessionSteps += 1;
-                    counters.recordLatency(frameSeconds);
+                    counters.latency.record(frameSeconds);
                 }
                 s.busy = false;
                 s.lastActive = now;

@@ -229,7 +229,7 @@ class SessionManager
     size_t restore(const io::SessionSnapshot& snap) EXCLUDES(mutex);
 
     /** Session counters (sessionsOpened/Closed/Expired/Rejected,
-     *  sessionSteps, per-frame latency samples). */
+     *  sessionSteps, per-frame `latency` histogram). */
     ServingStats stats() const EXCLUDES(mutex);
 
     /**
@@ -325,7 +325,8 @@ class SessionManager
     std::deque<uint64_t> tombstoneOrder GUARDED_BY(mutex);
     std::unordered_set<uint64_t> tombstones GUARDED_BY(mutex);
 
-    /** Session counters + per-frame latency ring. */
+    /** Session counters + per-frame latency histogram (cumulative
+     *  since construction, percentiles exact to within one bucket). */
     ServingStats counters GUARDED_BY(mutex);
 
     /** Serialises the pump launch/join across concurrent shutdowns;

@@ -169,15 +169,15 @@ TEST_F(PhiEngineTest, ServingCountersAccumulate)
     EXPECT_EQ(s.requests, reqs.size());
     EXPECT_EQ(s.batches, 1u);
     EXPECT_EQ(s.rows, rows);
-    EXPECT_EQ(s.latencySeconds.size(), reqs.size());
+    EXPECT_EQ(s.latency.count(), reqs.size());
     EXPECT_GT(s.busySeconds, 0.0);
     EXPECT_GT(s.throughputRps(), 0.0);
     EXPECT_GT(s.rowThroughputRps(), 0.0);
-    EXPECT_GE(s.latencyPercentileMs(99), s.latencyPercentileMs(50));
+    EXPECT_GE(s.latency.percentileMs(99), s.latency.percentileMs(50));
 
     engine.resetStats();
     EXPECT_EQ(engine.stats().requests, 0u);
-    EXPECT_EQ(engine.stats().latencySeconds.size(), 0u);
+    EXPECT_EQ(engine.stats().latency.count(), 0u);
 }
 
 TEST_F(PhiEngineTest, RejectsInvalidRequestsRecoverably)
@@ -299,32 +299,21 @@ TEST_F(PhiEngineTest, EmptyServeBatchAndZeroRowRequests)
     EXPECT_EQ(engine.stats().rows, 0u);
 }
 
-TEST(ServingStats, LatencyWindowIsBounded)
-{
-    // A long-running engine must not grow without bound: the sample
-    // window is a fixed-size ring over the most recent requests.
-    ServingStats s;
-    const size_t n = ServingStats::kMaxLatencySamples + 1000;
-    for (size_t i = 0; i < n; ++i)
-        s.recordLatency(static_cast<double>(i));
-    EXPECT_EQ(s.latencySeconds.size(), ServingStats::kMaxLatencySamples);
-    // The oldest 1000 samples were evicted: the minimum retained value
-    // is 1000.
-    EXPECT_DOUBLE_EQ(s.latencyPercentileMs(0), 1000.0 * 1e3);
-}
-
 TEST(ServingStats, PercentilesOnKnownSamples)
 {
     ServingStats s;
     for (int i = 1; i <= 100; ++i)
-        s.recordLatency(i * 1e-3); // 1ms .. 100ms
+        s.latency.record(i * 1e-3); // 1ms .. 100ms
     s.requests = 100;
     s.busySeconds = 2.0;
-    EXPECT_NEAR(s.latencyPercentileMs(50), 50.5, 1.0);
-    EXPECT_NEAR(s.latencyPercentileMs(99), 99.0, 1.0);
-    EXPECT_NEAR(s.latencyPercentileMs(0), 1.0, 1e-9);
-    EXPECT_NEAR(s.latencyPercentileMs(100), 100.0, 1e-9);
-    EXPECT_NEAR(s.meanLatencyMs(), 50.5, 1e-9);
+    s.recordFlushWindow(10.0, 12.0);
+    // Interior percentiles land in the nearest-rank sample's bucket
+    // (at most 6.25% wide); p0, p100 and the mean are exact.
+    EXPECT_NEAR(s.latency.percentileMs(50), 50.0, 50.0 * 0.0625);
+    EXPECT_NEAR(s.latency.percentileMs(99), 99.0, 99.0 * 0.0625);
+    EXPECT_NEAR(s.latency.percentileMs(0), 1.0, 1e-9);
+    EXPECT_NEAR(s.latency.percentileMs(100), 100.0, 1e-9);
+    EXPECT_NEAR(s.latency.meanMs(), 50.5, 1e-9);
     EXPECT_DOUBLE_EQ(s.throughputRps(), 50.0);
 
     ServingStats other;
@@ -332,10 +321,11 @@ TEST(ServingStats, PercentilesOnKnownSamples)
     other.batches = 1;
     other.rows = 5;
     other.busySeconds = 1.0;
-    other.latencySeconds = {0.5};
+    other.latency.record(0.5);
     s.merge(other);
     EXPECT_EQ(s.requests, 110u);
-    EXPECT_EQ(s.latencySeconds.size(), 101u);
+    EXPECT_EQ(s.latency.count(), 101u);
+    EXPECT_NEAR(s.latency.percentileMs(100), 500.0, 1e-9);
     EXPECT_DOUBLE_EQ(s.busySeconds, 3.0);
 }
 
@@ -369,60 +359,13 @@ TEST(ServingStats, OverlappingFlushesDoNotHalveThroughput)
     EXPECT_DOUBLE_EQ(a.throughputRps(), 20.0 / 1.5);
 }
 
-TEST(ServingStats, HandFilledCountersFallBackToBusySeconds)
-{
-    // No recorded flush window (counters filled in by hand, e.g. in a
-    // report aggregator): throughput falls back to the busy sum.
-    ServingStats s;
-    s.requests = 100;
-    s.busySeconds = 2.0;
-    EXPECT_DOUBLE_EQ(s.windowSeconds(), 0.0);
-    EXPECT_DOUBLE_EQ(s.throughputRps(), 50.0);
-}
-
 TEST(ServingStats, SingleSamplePercentiles)
 {
     ServingStats s;
-    s.recordLatency(0.25);
+    s.latency.record(0.25);
     for (double p : {0.0, 50.0, 99.0, 100.0})
-        EXPECT_DOUBLE_EQ(s.latencyPercentileMs(p), 250.0) << "p" << p;
-    EXPECT_DOUBLE_EQ(s.meanLatencyMs(), 250.0);
-}
-
-TEST(ServingStats, RingWrapOverwritesOldestExactly)
-{
-    // Fill to exactly the cap, then wrap by three: the three oldest
-    // samples (0, 1, 2) must be the ones evicted.
-    ServingStats s;
-    const size_t cap = ServingStats::kMaxLatencySamples;
-    for (size_t i = 0; i < cap + 3; ++i)
-        s.recordLatency(static_cast<double>(i));
-    EXPECT_EQ(s.latencySeconds.size(), cap);
-    EXPECT_DOUBLE_EQ(s.latencyPercentileMs(0), 3.0 * 1e3);
-    EXPECT_DOUBLE_EQ(s.latencyPercentileMs(100),
-                     static_cast<double>(cap + 2) * 1e3);
-}
-
-TEST(ServingStats, MergeOfWrappedRingReplaysOldestFirst)
-{
-    // A wrapped source ring's oldest sample sits at its cursor, not at
-    // index 0; merge must replay oldest-first so the destination
-    // ring's recency order stays meaningful.
-    ServingStats wrapped;
-    const size_t cap = ServingStats::kMaxLatencySamples;
-    for (size_t i = 0; i < cap + 100; ++i)
-        wrapped.recordLatency(static_cast<double>(i));
-
-    ServingStats s;
-    s.merge(wrapped);
-    EXPECT_EQ(s.latencySeconds.size(), cap);
-    // Retained window is [100, cap+99].
-    EXPECT_DOUBLE_EQ(s.latencyPercentileMs(0), 100.0 * 1e3);
-
-    // One more sample evicts the destination's oldest (100), proving
-    // the replay preserved order rather than scrambling the ring.
-    s.recordLatency(static_cast<double>(cap + 100));
-    EXPECT_DOUBLE_EQ(s.latencyPercentileMs(0), 101.0 * 1e3);
+        EXPECT_DOUBLE_EQ(s.latency.percentileMs(p), 250.0) << "p" << p;
+    EXPECT_DOUBLE_EQ(s.latency.meanMs(), 250.0);
 }
 
 TEST(ServingStats, DispatchCountersAndMerge)

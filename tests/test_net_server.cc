@@ -23,6 +23,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -523,8 +525,30 @@ TEST_F(PhiServerTest, StatsVerbServesPerModelCounters)
     const std::string text = client.statsText();
     EXPECT_NE(text.find("phi-server"), std::string::npos);
     EXPECT_NE(text.find("requests 2"), std::string::npos) << text;
-    EXPECT_NE(text.find("model m "), std::string::npos) << text;
     EXPECT_GE(server->counters().statsServed, 1u);
+
+    // The model line carries exactly these fields, in this order:
+    // expiry and shedding are process-wide (engine_expired/_shed).
+    const size_t at = text.find("\nmodel m ");
+    ASSERT_NE(at, std::string::npos) << text;
+    std::istringstream line(
+        text.substr(at + 1, text.find('\n', at + 1) - at - 1));
+    std::string word, name;
+    line >> word >> name;
+    std::vector<std::string> keys;
+    std::map<std::string, double> fields;
+    for (double v; line >> word >> v;) {
+        keys.push_back(word);
+        fields[word] = v;
+    }
+    EXPECT_TRUE(line.eof()) << "unparsable model line in\n" << text;
+    const std::vector<std::string> want = {"requests", "rows", "p50_ms",
+                                           "p99_ms"};
+    EXPECT_EQ(keys, want) << text;
+    EXPECT_EQ(fields["requests"], 2.0);
+    EXPECT_EQ(fields["rows"], 8.0);
+    EXPECT_GT(fields["p50_ms"], 0.0);
+    EXPECT_LE(fields["p50_ms"], fields["p99_ms"]);
 }
 
 TEST_F(PhiServerTest, PlaintextStatsVerbWorksWithoutAPhiClient)

@@ -331,7 +331,7 @@ TEST(RegistryEngine, ServesTwoModelsThroughOneEngine)
     EXPECT_EQ(engine.perModelStats().size(), 2u);
 
     // Retired names are prunable so ephemeral-model churn cannot
-    // accrete latency rings forever; the merged view is untouched.
+    // accrete per-name stats forever; the merged view is untouched.
     engine.dropStatsFor("nlp");
     EXPECT_EQ(engine.statsFor("nlp").requests, 0u);
     EXPECT_EQ(engine.perModelStats().size(), 1u);

@@ -1,11 +1,17 @@
 /**
  * @file
- * Tests for the Table-4 sparsity accounting, plus ServingStats'
- * resilience counters (expired/shed/watchdogRestarts, the
- * deadline-miss histogram) and their merge() semantics.
+ * Tests for the Table-4 sparsity accounting, the LatencyHistogram
+ * behind every served latency, and ServingStats' resilience counters
+ * (expired/shed/watchdogRestarts, the deadline-miss histogram) and
+ * their merge() semantics.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hh"
 #include "core/calibration.hh"
@@ -120,32 +126,157 @@ TEST(Stats, L2DensityNeverExceedsBitDensity)
     }
 }
 
+/** Log-uniform samples over [1 us, 10 s] from a fixed seed. */
+std::vector<double>
+logUniformSeconds(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<double> v(n);
+    for (double& x : v)
+        x = 1e-6 * std::pow(1e7, rng.uniform());
+    return v;
+}
+
+LatencyHistogram
+histogramOf(const std::vector<double>& seconds)
+{
+    LatencyHistogram h;
+    for (double s : seconds)
+        h.record(s);
+    return h;
+}
+
+static_assert(sizeof(LatencyHistogram) <= 4352,
+              "the histogram is a fixed inline array of ~4 KiB");
+
+TEST(LatencyHistogram, PercentilesMatchNearestRankToOneBucket)
+{
+    std::vector<double> samples = logUniformSeconds(20000, 7);
+    const LatencyHistogram h = histogramOf(samples);
+    std::sort(samples.begin(), samples.end());
+    for (double p : {50.0, 90.0, 99.0, 99.9}) {
+        const size_t rank = static_cast<size_t>(
+            std::ceil(p / 100.0 * static_cast<double>(samples.size())));
+        const double exact = samples[rank - 1];
+        const auto want = static_cast<long>(
+            LatencyHistogram::bucketOf(exact));
+        const auto got = static_cast<long>(
+            LatencyHistogram::bucketOf(h.percentileMs(p) * 1e-3));
+        EXPECT_LE(std::abs(got - want), 1) << "p" << p;
+        EXPECT_NEAR(h.percentileMs(p), exact * 1e3, exact * 1e3 * 0.0625)
+            << "p" << p;
+    }
+}
+
+TEST(LatencyHistogram, MergeEqualsRecordingBothSets)
+{
+    const std::vector<double> a = logUniformSeconds(5000, 11);
+    const std::vector<double> b = logUniformSeconds(3000, 12);
+    std::vector<double> both = a;
+    both.insert(both.end(), b.begin(), b.end());
+
+    LatencyHistogram merged = histogramOf(a);
+    merged.merge(histogramOf(b));
+    const LatencyHistogram direct = histogramOf(both);
+    EXPECT_EQ(merged.buckets(), direct.buckets());
+    EXPECT_EQ(merged.count(), direct.count());
+    for (double p : {0.0, 25.0, 50.0, 99.0, 100.0})
+        EXPECT_EQ(merged.percentileMs(p), direct.percentileMs(p))
+            << "p" << p;
+    EXPECT_NEAR(merged.meanMs(), direct.meanMs(),
+                direct.meanMs() * 1e-12);
+
+    // Merging into or from an empty histogram is the identity.
+    LatencyHistogram empty;
+    empty.merge(direct);
+    EXPECT_EQ(empty.buckets(), direct.buckets());
+    EXPECT_EQ(empty.percentileMs(0), direct.percentileMs(0));
+    merged.merge(LatencyHistogram{});
+    EXPECT_EQ(merged.count(), direct.count());
+}
+
+TEST(LatencyHistogram, ExtremesAndMeanAreExact)
+{
+    const std::vector<double> samples = logUniformSeconds(1000, 3);
+    const LatencyHistogram h = histogramOf(samples);
+    double sum = 0;
+    for (double s : samples)
+        sum += s;
+    const auto [lo, hi] =
+        std::minmax_element(samples.begin(), samples.end());
+    EXPECT_EQ(h.percentileMs(0), *lo * 1e3);
+    EXPECT_EQ(h.percentileMs(100), *hi * 1e3);
+    EXPECT_DOUBLE_EQ(h.meanMs(),
+                     sum / static_cast<double>(samples.size()) * 1e3);
+}
+
+TEST(LatencyHistogram, SingleSampleIsExactAndEmptyIsZero)
+{
+    LatencyHistogram h;
+    EXPECT_EQ(h.count(), 0u);
+    for (double p : {0.0, 50.0, 100.0})
+        EXPECT_EQ(h.percentileMs(p), 0.0) << "p" << p;
+    EXPECT_EQ(h.meanMs(), 0.0);
+
+    h.record(0.0123);
+    EXPECT_EQ(h.count(), 1u);
+    for (double p : {0.0, 0.1, 50.0, 99.9, 100.0})
+        EXPECT_EQ(h.percentileMs(p), 0.0123 * 1e3) << "p" << p;
+    EXPECT_EQ(h.meanMs(), 0.0123 * 1e3);
+}
+
+TEST(LatencyHistogram, SaturatesAboveTopBucket)
+{
+    constexpr size_t top = LatencyHistogram::kBuckets - 1;
+    EXPECT_EQ(LatencyHistogram::bucketOf(1e4), top);
+    EXPECT_EQ(LatencyHistogram::bucketOf(1e300), top);
+    EXPECT_EQ(LatencyHistogram::bucketOf(
+                  std::numeric_limits<double>::infinity()),
+              top);
+    // Negative and NaN samples count as 0.
+    EXPECT_EQ(LatencyHistogram::bucketOf(-1.0), 0u);
+    EXPECT_EQ(LatencyHistogram::bucketOf(
+                  std::numeric_limits<double>::quiet_NaN()),
+              0u);
+
+    LatencyHistogram h;
+    h.record(1e4);
+    h.record(1e300);
+    EXPECT_EQ(h.count(), 2u);
+    EXPECT_EQ(h.buckets()[top], 2u);
+    EXPECT_EQ(h.percentileMs(0), 1e4 * 1e3);
+    EXPECT_EQ(h.percentileMs(50), 1e4 * 1e3); // clamped to the min
+    EXPECT_EQ(h.percentileMs(100), 1e300 * 1e3);
+}
+
 TEST(ServingStatsResilience, DeadlineMissLandsInTheRightBucket)
 {
     ServingStats s;
-    // One sample per bucket: <1ms, <10ms, <100ms, <1s, <10s, >=10s.
-    s.recordDeadlineMiss(0.0005);
-    s.recordDeadlineMiss(0.005);
-    s.recordDeadlineMiss(0.05);
-    s.recordDeadlineMiss(0.5);
-    s.recordDeadlineMiss(5.0);
-    s.recordDeadlineMiss(50.0);
+    const std::vector<double> late = {0.0005, 0.005, 0.05,
+                                      0.5,    5.0,   50.0};
+    for (double l : late)
+        s.recordDeadlineMiss(l);
     EXPECT_EQ(s.expired, 6u);
-    for (size_t i = 0; i < ServingStats::kDeadlineMissBuckets; ++i)
-        EXPECT_EQ(s.deadlineMissHistogram[i], 1u) << "bucket " << i;
+    EXPECT_EQ(s.deadlineMiss.count(), 6u);
+    for (double l : late)
+        EXPECT_EQ(s.deadlineMiss.buckets()[LatencyHistogram::bucketOf(l)],
+                  1u)
+            << "late " << l << " s";
+    EXPECT_EQ(s.deadlineMiss.percentileMs(0), 0.0005 * 1e3);
+    EXPECT_EQ(s.deadlineMiss.percentileMs(100), 50.0 * 1e3);
 }
 
 TEST(ServingStatsResilience, MergeAddsResilienceCounters)
 {
     ServingStats a;
-    a.recordDeadlineMiss(0.0005); // bucket 0
-    a.recordDeadlineMiss(0.5);    // bucket 3
+    a.recordDeadlineMiss(0.0005);
+    a.recordDeadlineMiss(0.5);
     a.shed = 2;
     a.watchdogRestarts = 1;
     a.rejected = 4;
 
     ServingStats b;
-    b.recordDeadlineMiss(0.0007); // bucket 0
+    b.recordDeadlineMiss(0.0007);
     b.shed = 1;
     b.watchdogRestarts = 2;
 
@@ -154,34 +285,13 @@ TEST(ServingStatsResilience, MergeAddsResilienceCounters)
     EXPECT_EQ(a.shed, 3u);
     EXPECT_EQ(a.watchdogRestarts, 3u);
     EXPECT_EQ(a.rejected, 4u);
-    EXPECT_EQ(a.deadlineMissHistogram[0], 2u);
-    EXPECT_EQ(a.deadlineMissHistogram[3], 1u);
-    EXPECT_EQ(a.deadlineMissHistogram[5], 0u);
-}
-
-TEST(ServingStatsResilience, MergeReplaysWrappedRingOldestFirst)
-{
-    // A dispatcher that was restarted mid-service hands merge() a ring
-    // that has wrapped: its oldest retained sample sits at the ring
-    // cursor, not at index 0. Replay must start there, so the merged
-    // ring's recency order stays meaningful.
-    constexpr size_t cap = ServingStats::kMaxLatencySamples;
-    ServingStats wrapped;
-    const size_t total = cap + 100; // overwrite the first 100 samples
-    for (size_t i = 0; i < total; ++i)
-        wrapped.recordLatency(static_cast<double>(i));
-    ASSERT_EQ(wrapped.latencySeconds.size(), cap);
-
-    ServingStats merged;
-    merged.merge(wrapped);
-    ASSERT_EQ(merged.latencySeconds.size(), cap);
-    // Oldest retained sample is #100, newest is #(cap+99), in order.
-    EXPECT_DOUBLE_EQ(merged.latencySeconds.front(), 100.0);
-    EXPECT_DOUBLE_EQ(merged.latencySeconds.back(),
-                     static_cast<double>(total - 1));
-    for (size_t i = 1; i < merged.latencySeconds.size(); ++i)
-        ASSERT_LT(merged.latencySeconds[i - 1],
-                  merged.latencySeconds[i]);
+    EXPECT_EQ(a.deadlineMiss.count(), 3u);
+    const auto& buckets = a.deadlineMiss.buckets();
+    EXPECT_EQ(buckets[LatencyHistogram::bucketOf(0.0005)], 1u);
+    EXPECT_EQ(buckets[LatencyHistogram::bucketOf(0.0007)], 1u);
+    EXPECT_EQ(buckets[LatencyHistogram::bucketOf(0.5)], 1u);
+    EXPECT_EQ(a.deadlineMiss.percentileMs(0), 0.0005 * 1e3);
+    EXPECT_EQ(a.deadlineMiss.percentileMs(100), 0.5 * 1e3);
 }
 
 TEST(ServingStatsSessions, MergeAddsSessionCounters)
@@ -218,20 +328,6 @@ TEST(ServingStatsSessions, DerivedViewsAreSafeOnEmptyStats)
     // not underflow the active count.
     s.sessionsClosed = 3;
     EXPECT_EQ(s.activeSessions(), 0u);
-}
-
-TEST(ServingStatsResilience, MergeOfUnwrappedRingKeepsInsertionOrder)
-{
-    ServingStats a;
-    a.recordLatency(1.0);
-    a.recordLatency(2.0);
-    ServingStats b;
-    b.recordLatency(3.0);
-    a.merge(b);
-    const std::vector<double> want = {1.0, 2.0, 3.0};
-    EXPECT_EQ(a.latencySeconds, want);
-    EXPECT_EQ(a.expired, 0u);
-    EXPECT_EQ(a.watchdogRestarts, 0u);
 }
 
 } // namespace

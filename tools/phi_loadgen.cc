@@ -16,11 +16,12 @@
  *
  * Opens N connections, each pacing requests so the aggregate offered
  * load is R requests/second (R=0 = unpaced, submit as fast as replies
- * return), for S seconds. Reports achieved rps, p50/p99/max latency,
- * and a histogram of every typed error seen — one line per
- * WireErrorCode/EngineErrorCode name — so a chaos run can assert
- * "typed errors only". --json emits the same numbers as one JSON
- * object on stdout (the capacity bench and CI smoke parse this).
+ * return), for S seconds. Reports achieved rps, p50/p99/max latency
+ * (per-worker LatencyHistograms merged: percentiles exact to within
+ * one bucket, max exact), and a histogram of every typed error seen —
+ * one line per WireErrorCode/EngineErrorCode name — so a chaos run can
+ * assert "typed errors only". --json emits the same numbers as one
+ * JSON object on stdout (the capacity bench and CI smoke parse this).
  *
  * Exit code: 0 when every request resolved (served or typed error),
  * 1 when the run aborted on an untyped/transport failure.
@@ -28,7 +29,6 @@
 
 #include <phi/phi.hh>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <iostream>
@@ -49,7 +49,7 @@ struct WorkerResult
     uint64_t sent = 0;
     uint64_t served = 0;
     std::map<std::string, uint64_t> errors; // typed errors by name
-    std::vector<double> latenciesMs;
+    LatencyHistogram latency; // served requests
     bool transportDied = false;
     std::string transportWhat;
 };
@@ -167,9 +167,9 @@ main(int argc, char** argv)
                             client.request(req);
                         }
                         ++out.served;
-                        out.latenciesMs.push_back(
-                            std::chrono::duration<double, std::milli>(
-                                Clock::now() - t0)
+                        out.latency.record(
+                            std::chrono::duration<double>(Clock::now() -
+                                                          t0)
                                 .count());
                     } catch (const EngineError& e) {
                         ++out.errors[e.codeName()];
@@ -207,7 +207,7 @@ main(int argc, char** argv)
 
     uint64_t sent = 0, served = 0;
     std::map<std::string, uint64_t> errors;
-    std::vector<double> latencies;
+    LatencyHistogram latency;
     bool died = false;
     std::string diedWhat;
     for (const WorkerResult& r : results) {
@@ -215,21 +215,12 @@ main(int argc, char** argv)
         served += r.served;
         for (const auto& [name, n] : r.errors)
             errors[name] += n;
-        latencies.insert(latencies.end(), r.latenciesMs.begin(),
-                         r.latenciesMs.end());
+        latency.merge(r.latency);
         if (r.transportDied && !died) {
             died = true;
             diedWhat = r.transportWhat;
         }
     }
-    std::sort(latencies.begin(), latencies.end());
-    auto pct = [&](double p) {
-        if (latencies.empty())
-            return 0.0;
-        const size_t idx = static_cast<size_t>(
-            p / 100.0 * static_cast<double>(latencies.size() - 1));
-        return latencies[idx];
-    };
 
     const double achievedRps =
         elapsed > 0 ? static_cast<double>(served) / elapsed : 0;
@@ -242,10 +233,9 @@ main(int argc, char** argv)
            << ", \"seconds\": " << elapsed << ", \"sent\": " << sent
            << ", \"served\": " << served
            << ", \"achieved_rps\": " << achievedRps
-           << ", \"p50_ms\": " << pct(50)
-           << ", \"p99_ms\": " << pct(99)
-           << ", \"max_ms\": "
-           << (latencies.empty() ? 0.0 : latencies.back())
+           << ", \"p50_ms\": " << latency.percentileMs(50)
+           << ", \"p99_ms\": " << latency.percentileMs(99)
+           << ", \"max_ms\": " << latency.percentileMs(100)
            << ", \"errors\": {";
         bool first = true;
         for (const auto& [name, n] : errors) {
@@ -257,8 +247,8 @@ main(int argc, char** argv)
     } else {
         std::cout << "conns=" << conns << " sent=" << sent
                   << " served=" << served << " achieved_rps="
-                  << achievedRps << " p50_ms=" << pct(50)
-                  << " p99_ms=" << pct(99) << "\n";
+                  << achievedRps << " p50_ms=" << latency.percentileMs(50)
+                  << " p99_ms=" << latency.percentileMs(99) << "\n";
         for (const auto& [name, n] : errors)
             std::cout << "error " << name << " " << n << "\n";
         if (died)
