@@ -183,25 +183,29 @@ buildRequests(size_t count)
 }
 
 Result
-runConfig(const CompiledModel& model,
+runConfig(const std::shared_ptr<ModelRegistry>& registry,
+          const ModelHandle& model,
           const std::vector<BinaryMatrix>& requests, int threads,
           size_t batch)
 {
     ExecutionConfig exec;
     exec.threads = threads;
-    PhiEngine engine(model, exec);
+    PhiEngine engine(registry, exec);
 
     // Warm-up batch (pattern memo caches, pool spin-up) then the
-    // measured stream.
-    engine.serve(0, requests[0]);
+    // measured stream, served in place (activations borrowed).
+    engine.serve(model, 0, requests[0]);
     engine.resetStats();
 
+    const ModelRegistry::Pinned pin = registry->pin(model);
+    std::vector<EngineRequest> batchRequests;
     size_t i = 0;
     while (i < requests.size()) {
         const size_t end = std::min(requests.size(), i + batch);
+        batchRequests.clear();
         for (; i < end; ++i)
-            engine.enqueue(0, requests[i]);
-        engine.flush();
+            batchRequests.push_back({pin, 0, &requests[i]});
+        engine.serve(batchRequests);
     }
 
     const ServingStats& s = engine.stats();
@@ -218,11 +222,12 @@ runConfig(const CompiledModel& model,
 /**
  * The multi-producer scenario: @p producers threads each stream their
  * slice of the request set through submit(), the dispatcher coalesces
- * up to @p maxBatch requests per flush. Runs after the sync sweep, so
+ * up to @p maxBatch requests per batch. Runs after the sync sweep, so
  * the pool and allocator caches are already warm.
  */
 AsyncResult
-runAsyncConfig(const CompiledModel& model,
+runAsyncConfig(const std::shared_ptr<ModelRegistry>& registry,
+               const ModelHandle& model,
                const std::vector<BinaryMatrix>& requests, int producers,
                size_t maxBatch)
 {
@@ -231,7 +236,7 @@ runAsyncConfig(const CompiledModel& model,
     AsyncEngineConfig cfg;
     cfg.maxBatch = maxBatch;
     cfg.maxLingerMicros = 200;
-    AsyncPhiEngine engine(model, exec, cfg);
+    AsyncPhiEngine engine(registry, exec, cfg);
 
     std::vector<std::thread> threads;
     threads.reserve(producers);
@@ -240,7 +245,7 @@ runAsyncConfig(const CompiledModel& model,
             std::vector<std::future<EngineResponse>> futures;
             for (size_t i = p; i < requests.size();
                  i += static_cast<size_t>(producers))
-                futures.push_back(engine.submit(0, requests[i]));
+                futures.push_back(engine.submit(model, 0, requests[i]));
             for (auto& f : futures)
                 f.get();
         });
@@ -274,7 +279,8 @@ runAsyncConfig(const CompiledModel& model,
  * are dropped at dispatch and the served tail stays near the deadline.
  */
 ResilienceResult
-runResilienceConfig(const CompiledModel& model,
+runResilienceConfig(const std::shared_ptr<ModelRegistry>& registry,
+                    const ModelHandle& model,
                     const std::vector<BinaryMatrix>& requests,
                     size_t offered, double deadlineMs)
 {
@@ -285,8 +291,8 @@ runResilienceConfig(const CompiledModel& model,
     cfg.maxBatch = 8;
     cfg.maxLingerMicros = 200;
     cfg.maxQueueDepth = 4096; // deep enough that nothing is rejected
-    AsyncPhiEngine engine(model, exec, cfg);
-    engine.submit(0, requests[0]).get(); // warm-up
+    AsyncPhiEngine engine(registry, exec, cfg);
+    engine.submit(model, 0, requests[0]).get(); // warm-up
 
     constexpr int kProducers = 4;
     std::vector<LatencyHistogram> served(kProducers);
@@ -306,7 +312,7 @@ runResilienceConfig(const CompiledModel& model,
                                                          1000.0));
                 starts.push_back(start);
                 futures.push_back(engine.submit(
-                    0, requests[i % requests.size()], opts));
+                    model, 0, requests[i % requests.size()], opts));
             }
             for (size_t i = 0; i < futures.size(); ++i) {
                 try {
@@ -438,14 +444,12 @@ runSessionConfig(const std::shared_ptr<ModelRegistry>& registry,
  * server process actually gets.
  */
 NetworkResult
-runNetworkConfig(const CompiledModel& model,
+runNetworkConfig(const std::shared_ptr<ModelRegistry>& registry,
+                 const ModelHandle& model,
                  const std::vector<BinaryMatrix>& requests,
                  int connections, size_t perConnection)
 {
     using Clock = std::chrono::steady_clock;
-    auto registry = std::make_shared<ModelRegistry>();
-    registry->load("bench", model);
-
     ExecutionConfig exec;
     exec.threads = 4;
     AsyncEngineConfig cfg;
@@ -472,7 +476,7 @@ runNetworkConfig(const CompiledModel& model,
                              requests.size()];
                 const auto start = Clock::now();
                 try {
-                    client.request("bench", 0, acts);
+                    client.request(model.name, 0, acts);
                     latencies[static_cast<size_t>(c)].record(
                         std::chrono::duration<double>(Clock::now() -
                                                       start)
@@ -598,7 +602,8 @@ main(int argc, char** argv)
 {
     std::cerr << "building compiled model (K=" << kReductionK << ", N="
               << kOutputN << ", q=" << kPatternsQ << ")...\n";
-    const CompiledModel model = buildModel();
+    auto registry = std::make_shared<ModelRegistry>();
+    const ModelHandle model = registry->load("bench", buildModel());
     const std::vector<BinaryMatrix> requests = buildRequests(kNumRequests);
 
     std::vector<Result> results;
@@ -606,7 +611,8 @@ main(int argc, char** argv)
              "mean ms"});
     for (int threads : {1, 2, 4, 8}) {
         for (size_t batch : {size_t{1}, size_t{8}, size_t{32}}) {
-            Result r = runConfig(model, requests, threads, batch);
+            Result r =
+                runConfig(registry, model, requests, threads, batch);
             results.push_back(r);
             t.addRow({std::to_string(r.threads), std::to_string(r.batch),
                       Table::fmt(r.rps, 1), Table::fmt(r.rowsPerSec / 1e3, 1),
@@ -625,8 +631,8 @@ main(int argc, char** argv)
               "p99 ms", "QDepth", "Linger us"});
     for (int producers : {1, 4, 8}) {
         for (size_t maxBatch : {size_t{1}, size_t{8}, size_t{32}}) {
-            AsyncResult r =
-                runAsyncConfig(model, requests, producers, maxBatch);
+            AsyncResult r = runAsyncConfig(registry, model, requests,
+                                           producers, maxBatch);
             asyncResults.push_back(r);
             at.addRow({std::to_string(r.producers),
                        std::to_string(r.maxBatch), Table::fmt(r.rps, 1),
@@ -650,10 +656,11 @@ main(int argc, char** argv)
     constexpr double kDeadlineMs = 50.0;
     std::vector<ResilienceResult> resilience;
     resilience.push_back(
-        runResilienceConfig(model, requests, kBurst, 0.0));
+        runResilienceConfig(registry, model, requests, kBurst, 0.0));
     std::cerr << "  resilience no_deadline done\n";
     resilience.push_back(
-        runResilienceConfig(model, requests, kBurst, kDeadlineMs));
+        runResilienceConfig(registry, model, requests, kBurst,
+                            kDeadlineMs));
     std::cerr << "  resilience deadline done\n";
     Table rt({"Mode", "Deadline ms", "Offered", "Served", "Expired",
               "p99 srv ms", "max srv ms"});
@@ -673,8 +680,8 @@ main(int argc, char** argv)
     Table nt({"Conns", "Req/s", "kRows/s", "p50 ms", "p99 ms",
               "Errors"});
     for (int conns : {1, 4, 8, 16}) {
-        NetworkResult r = runNetworkConfig(model, requests, conns,
-                                           /*perConnection=*/32);
+        NetworkResult r = runNetworkConfig(registry, model, requests,
+                                           conns, /*perConnection=*/32);
         network.push_back(r);
         nt.addRow({std::to_string(r.connections), Table::fmt(r.rps, 1),
                    Table::fmt(r.rowsPerSec / 1e3, 1),

@@ -4,8 +4,9 @@
  *
  * Offline: calibrate patterns on sample spike activations, bind
  * weights, compile to an immutable artifact and save it as
- * quickstart.phim. Online: load the artifact into a PhiEngine and serve
- * a batch of fresh activation matrices, verifying every result is
+ * quickstart.phim. Online: load the artifact into a ModelRegistry and
+ * serve a batch of fresh activation matrices through a PhiEngine in
+ * one serve() call, verifying every result is
  * bit-exact against the reference GEMM, then print the sparsity
  * accounting.
  *
@@ -62,15 +63,20 @@ main()
               << " patterns, PWP footprint "
               << compiled.pwpFootprintBytes() << " bytes)\n\n";
 
-    // 3. Online serve: a fresh process would start exactly here.
-    PhiEngine engine(io::loadModel("quickstart.phim"));
+    // 3. Online serve: a fresh process would start exactly here. The
+    //    registry names the model from the artifact's META stamp; the
+    //    pin fixes the version every request of the batch serves on.
+    PhiEngine engine(std::make_shared<ModelRegistry>());
+    const ModelHandle model = engine.registry()->load("", "quickstart.phim");
+    const ModelRegistry::Pinned pin = engine.registry()->pin(model);
 
     std::vector<BinaryMatrix> requests;
     for (int i = 0; i < 4; ++i)
         requests.push_back(gen.generate(1024, rng));
+    std::vector<EngineRequest> batch;
     for (const BinaryMatrix& acts : requests)
-        engine.enqueue(0, acts);
-    std::vector<EngineResponse> responses = engine.flush();
+        batch.push_back({pin, 0, &acts});
+    std::vector<EngineResponse> responses = engine.serve(batch);
 
     // 4. Verify losslessness against the reference binary GEMM.
     bool all_exact = true;
@@ -83,7 +89,7 @@ main()
     // 5. Report the hierarchical sparsity of one request (Table 4
     //    style) by decomposing it again — decomposition is
     //    deterministic, so this is exactly what the engine served.
-    const CompiledLayer& served = engine.model().layer(0);
+    const CompiledLayer& served = pin->layer(0);
     SparsityBreakdown b =
         served.breakdown(requests[0], served.decompose(requests[0]));
     Table t({"Metric", "Value"});

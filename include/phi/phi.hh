@@ -19,8 +19,10 @@
  *                                swap (zero-downtime) / unload
  *     phi::ModelHandle           routes a request; stamped on every
  *                                response as {name, version}
- *     phi::PhiEngine             synchronous batched serving
- *     phi::AsyncPhiEngine        thread-safe futures frontend
+ *     phi::PhiEngine             synchronous batched serving over
+ *                                a registry: one serve(span) call
+ *     phi::AsyncPhiEngine        thread-safe futures frontend over
+ *                                a registry
  *     phi::ServingStats          per-model + merged counters
  *     phi::LatencyHistogram      fixed-size, mergeable latency
  *                                percentiles (within one bucket)

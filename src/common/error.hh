@@ -31,12 +31,12 @@ namespace phi
 /** Machine-readable reason carried by every EngineError. */
 enum class EngineErrorCode
 {
-    EmptyModel,      // engine constructed over a model with no layers
+    EmptyModel,      // a model with no layers, or an engine with no registry
     InvalidLayer,    // request names a layer id the model does not have
     MissingWeights,  // target layer was compiled without weights
     ShapeMismatch,   // activation K != weight rows of the target layer
-    NullActivation,  // serveBatch() handed a null activation pointer
-    PendingRequests, // serve()/serveBatch() called with queued requests
+    NullActivation,  // serve() handed a request with null activations
+    PendingRequests, // no longer raised; wire value 105 stays reserved
     QueueFull,       // async queue at capacity under the Reject policy,
                      // or a queued request was shed to admit a
                      // higher-priority one

@@ -137,11 +137,11 @@ class LatencyHistogram
 struct ServingStats
 {
     uint64_t requests = 0; // requests completed
-    uint64_t batches = 0;  // flush() calls that served >= 1 request
+    uint64_t batches = 0;  // engine batches that served >= 1 request
     uint64_t rows = 0;     // activation rows across served requests
 
     /**
-     * Wall time spent inside flush(), summed per flush. A utilisation
+     * Wall time spent serving batches, summed per batch. A utilisation
      * metric, NOT a throughput denominator: once flushes overlap
      * (merged stats from concurrent engines, or work observed from the
      * async frontend) the per-flush sum double-counts wall time and
@@ -204,7 +204,7 @@ struct ServingStats
      *  flush). Real elapsed serving time even when flushes overlap. */
     double windowSeconds() const;
 
-    /** Fraction of the serving window spent inside flush(); can exceed
+    /** Fraction of the serving window spent serving batches; can exceed
      *  1 when merged stats cover engines flushing concurrently. */
     double busyFraction() const;
 

@@ -138,6 +138,12 @@ decodeActs(io::ByteReader& r)
 {
     const uint32_t rows = r.u32();
     const uint32_t cols = r.u32();
+    // Rows without columns carry no bytes, so the byte budget below
+    // cannot bound them: 4 billion empty rows would stall the caller.
+    // No layer has K = 0 or N = 0, so no valid frame has this shape.
+    if (rows != 0 && cols == 0)
+        throw io::IoError("activation shape " + std::to_string(rows) +
+                          "x0 has rows but no columns");
     const size_t wordsPerRow = actsWordsPerRow(cols);
     // A lying shape must fail before it sizes an allocation: the body
     // cannot hold fewer bytes than the shape demands.
@@ -223,6 +229,10 @@ decodeResponse(io::ByteReader& r)
     resp.layer = r.u32();
     const uint32_t rows = r.u32();
     const uint32_t cols = r.u32();
+    // Same rule as decodeActs(): rows without columns are unbounded.
+    if (rows != 0 && cols == 0)
+        throw io::IoError("response shape " + std::to_string(rows) +
+                          "x0 has rows but no columns");
     const size_t needed = size_t{rows} * cols * 4;
     if (rows != 0 && cols != 0 && needed / (size_t{cols} * 4) != rows)
         throw io::IoError("response shape overflows");

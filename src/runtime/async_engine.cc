@@ -23,18 +23,6 @@ makeError(EngineError::Code code, const std::string& what)
 
 } // namespace
 
-AsyncPhiEngine::AsyncPhiEngine(CompiledModel model, ExecutionConfig exec,
-                               AsyncEngineConfig config)
-    : engine(std::move(model), exec), asyncConfig(config)
-{
-    if (asyncConfig.maxBatch < 1)
-        asyncConfig.maxBatch = 1;
-    if (asyncConfig.maxQueueDepth < 1)
-        asyncConfig.maxQueueDepth = 1;
-    MutexLock join(joinMutex);
-    dispatcher = std::thread([this] { superviseDispatch(); });
-}
-
 AsyncPhiEngine::AsyncPhiEngine(std::shared_ptr<ModelRegistry> registry,
                                ExecutionConfig exec,
                                AsyncEngineConfig config)
@@ -167,23 +155,6 @@ AsyncPhiEngine::submitPinned(ModelRegistry::Pinned pin, size_t layer,
     return future;
 }
 
-std::future<EngineResponse>
-AsyncPhiEngine::submit(size_t layer, BinaryMatrix acts,
-                       SubmitOptions opts)
-{
-    const ModelHandle& handle = engine.defaultModel();
-    if (!handle.valid()) {
-        std::promise<EngineResponse> promise;
-        std::future<EngineResponse> future = promise.get_future();
-        promise.set_exception(makeError(
-            EngineError::Code::UnknownModel,
-            "this engine routes by ModelHandle (registry-routed, no "
-            "default model); pass one explicitly"));
-        return future;
-    }
-    return submit(handle, layer, std::move(acts), opts);
-}
-
 void
 AsyncPhiEngine::superviseDispatch()
 {
@@ -230,27 +201,18 @@ AsyncPhiEngine::recoverDispatcher(std::exception_ptr cause)
         } catch (const std::future_error&) {
         }
     }
+    batchRequests.clear();
     inFlightBatch.clear();
-    // Drop any borrows the dead batch left enqueued in the inner
-    // engine — they point into Pending activations just destroyed.
-    engine.clearPending();
 
     watchdogRestarts.fetch_add(1, std::memory_order_relaxed);
-    std::vector<std::promise<void>> drained;
     {
         MutexLock lock(mutex);
         inFlight = 0;
-        // The crash may have emptied the world: drainedFuture()
-        // waiters must not outlive the work they were waiting on.
-        if (pendingQueue.empty())
-            drained = std::move(drainWaiters);
     }
     // Both a blocked drain() (queue may now be empty) and blocked
     // submitters get to re-check the world.
     idle.notify_all();
     spaceAvailable.notify_all();
-    for (std::promise<void>& p : drained)
-        p.set_value();
 }
 
 void
@@ -272,9 +234,9 @@ AsyncPhiEngine::dispatchLoop()
         }
 
         // Micro-batch coalescing: linger after the batch's first
-        // request so closely-spaced submits share one flush. The
+        // request so closely-spaced submits share one batch. The
         // deadline is anchored at that request's submit time, so a
-        // request that already queued behind a long flush is not made
+        // request that already queued behind a long batch is not made
         // to wait again. Skipped when the batch is already full or the
         // engine is stopping.
         const auto readyAt = Clock::now();
@@ -317,7 +279,7 @@ AsyncPhiEngine::dispatchLoop()
         inFlight = inFlightBatch.size() + expiredBatch.size();
         // Coalescing cost actually added by the dispatcher: time from
         // "could have dispatched" to "did". Queue wait behind earlier
-        // flushes shows up in request latency, not here.
+        // batches shows up in request latency, not here.
         const double lingerSec =
             std::chrono::duration<double>(Clock::now() - readyAt)
                 .count();
@@ -344,14 +306,10 @@ AsyncPhiEngine::dispatchLoop()
         std::exception_ptr batchError;
         try {
             for (const Pending& p : inFlightBatch)
-                engine.enqueuePinned(p.pin, p.layer, p.acts);
-            responses = engine.flush();
+                batchRequests.push_back({p.pin, p.layer, &p.acts});
+            responses = engine.serve(batchRequests);
         } catch (const EngineError&) {
             batchError = std::current_exception();
-            // A mid-loop enqueue failure leaves earlier borrows queued
-            // (flush() clears its own on throw); drop them before the
-            // batch — and the activations they point into — goes away.
-            engine.clearPending();
         } catch (const std::exception& e) {
             // Anything else escaping the compute path (a worker-thread
             // exception rethrown by the pool, bad_alloc, an injected
@@ -361,12 +319,10 @@ AsyncPhiEngine::dispatchLoop()
             batchError = makeError(
                 EngineError::Code::Internal,
                 std::string("batch failed: ") + e.what());
-            engine.clearPending();
         } catch (...) {
             batchError =
                 makeError(EngineError::Code::Internal,
                           "batch failed on a non-std exception");
-            engine.clearPending();
         }
 
         // Publish stats before resolving the promises, so a caller who
@@ -413,29 +369,14 @@ AsyncPhiEngine::dispatchLoop()
         // the dispatcher thread, *before* clearing inFlight: drain()
         // returning (or unload() succeeding) must mean the old epoch
         // really is free.
+        batchRequests.clear();
         inFlightBatch.clear();
 
         lock.lock();
         inFlight = 0;
-        std::vector<std::promise<void>> drained;
-        if (pendingQueue.empty()) {
+        if (pendingQueue.empty())
             idle.notify_all();
-            drained = std::move(drainWaiters);
-        }
-        lock.unlock();
-        for (std::promise<void>& p : drained)
-            p.set_value();
     }
-
-    // Clean stop: everything submitted has been resolved; any
-    // drainedFuture() still registered is satisfied by definition.
-    std::vector<std::promise<void>> drained;
-    {
-        MutexLock lock(mutex);
-        drained = std::move(drainWaiters);
-    }
-    for (std::promise<void>& p : drained)
-        p.set_value();
 }
 
 void
@@ -444,26 +385,6 @@ AsyncPhiEngine::drain()
     UniqueLock lock(mutex);
     while (!(pendingQueue.empty() && inFlight == 0))
         idle.wait(lock);
-}
-
-std::future<void>
-AsyncPhiEngine::drainedFuture()
-{
-    std::promise<void> promise;
-    std::future<void> future = promise.get_future();
-    {
-        MutexLock lock(mutex);
-        if (!(pendingQueue.empty() && inFlight == 0)) {
-            // Not idle: park the promise for the dispatcher, which
-            // resolves it the moment the queue and in-flight batch
-            // are both empty (or on clean stop, when everything
-            // submitted has been resolved one way or the other).
-            drainWaiters.push_back(std::move(promise));
-            return future;
-        }
-    }
-    promise.set_value(); // already idle — resolved before returning
-    return future;
 }
 
 void

@@ -9,7 +9,8 @@
  * Requests land in a bounded queue; the dispatcher pops up to
  * maxBatch of them — lingering up to maxLingerMicros after the first
  * arrival so sparse traffic still coalesces into efficient batches —
- * and serves them as one PhiEngine flush on the shared thread pool.
+ * and serves them as one PhiEngine::serve() batch on the shared
+ * thread pool.
  * Because every kernel underneath is bit-deterministic, a request's
  * response is identical to serving it synchronously, no matter how
  * the dispatcher happened to batch it or how many producers raced.
@@ -19,9 +20,7 @@
  * (ModelRegistry::pin), so a swap() racing the queue cannot tear a
  * request — it serves the epoch it was submitted against, the
  * response reports that exact {name, version}, and requests
- * submitted after the swap serve the new one. The legacy
- * single-model constructor and handle-less submit() keep working
- * against a private one-entry registry.
+ * submitted after the swap serve the new one.
  *
  * Failure semantics are strictly per-request: an invalid request
  * (wrong layer, mismatched K, an unloaded model — anything
@@ -87,7 +86,7 @@ namespace phi
  *  own ExecutionConfig). */
 struct AsyncEngineConfig
 {
-    /** Most requests coalesced into one dispatch/flush. */
+    /** Most requests coalesced into one dispatched batch. */
     size_t maxBatch = 32;
 
     /**
@@ -142,17 +141,11 @@ struct SubmitOptions
 class AsyncPhiEngine
 {
   public:
-    /** Legacy single-model frontend; @throws EngineError (EmptyModel)
-     *  like PhiEngine. Handle-less submit() routes to this model. */
-    explicit AsyncPhiEngine(CompiledModel model,
-                            ExecutionConfig exec = {},
-                            AsyncEngineConfig config = {});
-
     /**
-     * Registry-routed frontend: serves whatever models are (or
-     * become) resident in @p registry, which stays shared — load,
-     * swap and unload models from any thread while this engine
-     * serves. @throws EngineError (EmptyModel) on a null registry.
+     * Serves whatever models are (or become) resident in
+     * @p registry, which stays shared — load, swap and unload models
+     * from any thread while this engine serves.
+     * @throws EngineError (EmptyModel) on a null registry.
      */
     explicit AsyncPhiEngine(std::shared_ptr<ModelRegistry> registry,
                             ExecutionConfig exec = {},
@@ -179,11 +172,6 @@ class AsyncPhiEngine
                                        SubmitOptions opts = {})
         EXCLUDES(mutex);
 
-    /** submit() against the legacy default model. */
-    std::future<EngineResponse> submit(size_t layer, BinaryMatrix acts,
-                                       SubmitOptions opts = {})
-        EXCLUDES(mutex);
-
     /**
      * submit() against an epoch the caller already pinned. Where
      * submit() pins the handle's *current* version, this serves
@@ -207,19 +195,6 @@ class AsyncPhiEngine
     void drain() EXCLUDES(mutex);
 
     /**
-     * The non-blocking form of drain(): a future that resolves once
-     * every request submitted before this call has been served (or
-     * failed typed). Callers that must interleave the wait with other
-     * work — a network frontend flushing responses while it watches
-     * the engine empty — poll or wait on this instead of parking a
-     * thread in drain(). Resolves immediately when the engine is
-     * already idle (including after shutdown()), and is never left
-     * broken: every returned future resolves even if the engine is
-     * destroyed or the dispatcher crashes and restarts.
-     */
-    std::future<void> drainedFuture() EXCLUDES(mutex);
-
-    /**
      * Stop accepting new work, serve everything queued, and join the
      * dispatcher. Idempotent. Blocked submitters and later submit()
      * calls resolve their futures with EngineError(Stopped).
@@ -236,17 +211,13 @@ class AsyncPhiEngine
         return engine.registry();
     }
 
-    /** Legacy accessor; throws UnknownModel on a registry-routed
-     *  frontend (see PhiEngine::model()). */
-    const CompiledModel& model() const { return engine.model(); }
-
     const AsyncEngineConfig& config() const { return asyncConfig; }
 
     /**
      * Snapshot of the merged serving counters: the inner engine's
-     * flush counters plus the frontend's queue-depth / linger /
+     * batch counters plus the frontend's queue-depth / linger /
      * rejected accounting. Safe to call concurrently with serving;
-     * throughput uses the monotonic flush window, so overlapping
+     * throughput uses the monotonic serving window, so overlapping
      * observation never double-counts time.
      */
     ServingStats stats() const EXCLUDES(mutex, statsMutex);
@@ -327,8 +298,6 @@ class AsyncPhiEngine
     std::deque<Pending> pendingQueue GUARDED_BY(mutex);
     /** Names for the dispatcher to prune. */
     std::vector<std::string> statsDrops GUARDED_BY(mutex);
-    /** drainedFuture() promises. */
-    std::vector<std::promise<void>> drainWaiters GUARDED_BY(mutex);
     bool accepting GUARDED_BY(mutex) = true;
     bool stopping GUARDED_BY(mutex) = false;
     /** Requests popped but not yet resolved. */
@@ -351,8 +320,12 @@ class AsyncPhiEngine
      * thread). As members rather than loop locals so the watchdog can
      * fail the in-flight batch after a crash, and so the frontend
      * counters survive a restart instead of resetting to zero.
+     * batchRequests is inFlightBatch as the span PhiEngine::serve()
+     * takes, borrowing its activations; kept as a member so its
+     * capacity is reused across batches.
      */
     std::vector<Pending> inFlightBatch;
+    std::vector<EngineRequest> batchRequests;
     ServingStats frontendStats;
 
     /** Guards the published stats snapshots (refreshed per batch). */

@@ -35,15 +35,6 @@ epochSeconds(Clock::time_point t)
 
 } // namespace
 
-PhiEngine::PhiEngine(CompiledModel model, ExecutionConfig execCfg)
-    : models(std::make_shared<ModelRegistry>()), exec(execCfg)
-{
-    // Throws EmptyModel for a layerless model, exactly as before the
-    // registry existed.
-    defaultHandle = models->load(kLegacyModelName, std::move(model));
-    legacyPin = models->pin(defaultHandle);
-}
-
 PhiEngine::PhiEngine(std::shared_ptr<ModelRegistry> registry,
                      ExecutionConfig execCfg)
     : models(std::move(registry)), exec(execCfg)
@@ -51,17 +42,6 @@ PhiEngine::PhiEngine(std::shared_ptr<ModelRegistry> registry,
     if (!models)
         throw EngineError(EngineError::Code::EmptyModel,
                           "PhiEngine needs a non-null registry");
-}
-
-const CompiledModel&
-PhiEngine::model() const
-{
-    if (!legacyPin)
-        throw EngineError(
-            EngineError::Code::UnknownModel,
-            "model() on a registry-routed engine; resolve a specific "
-            "model via registry()->pin(name) instead");
-    return *legacyPin;
 }
 
 void
@@ -89,111 +69,37 @@ PhiEngine::validate(const CompiledModel& model, size_t layer,
                                    l.name(), "'"));
 }
 
-void
-PhiEngine::validate(size_t layer, const BinaryMatrix& acts) const
-{
-    validate(*models->pin(requireDefault()), layer, acts);
-}
-
-const ModelHandle&
-PhiEngine::requireDefault() const
-{
-    if (!defaultHandle.valid())
-        throw EngineError(
-            EngineError::Code::UnknownModel,
-            "this engine routes by ModelHandle (registry-routed, no "
-            "default model); pass one explicitly");
-    return defaultHandle;
-}
-
-ModelRegistry::Pinned
-PhiEngine::pinAndValidate(const ModelHandle& handle, size_t layer,
-                          const BinaryMatrix& acts) const
-{
-    ModelRegistry::Pinned pin = models->pin(handle); // UnknownModel
-    validate(*pin, layer, acts);
-    return pin;
-}
-
-size_t
-PhiEngine::enqueue(const ModelHandle& handle, size_t layer,
-                   BinaryMatrix acts)
-{
-    ModelRegistry::Pinned pin = pinAndValidate(handle, layer, acts);
-    queue.push_back({std::move(pin), layer, std::move(acts), nullptr});
-    return queue.size() - 1;
-}
-
-size_t
-PhiEngine::enqueue(size_t layer, BinaryMatrix acts)
-{
-    return enqueue(requireDefault(), layer, std::move(acts));
-}
-
-size_t
-PhiEngine::enqueueBorrowed(const ModelHandle& handle, size_t layer,
-                           const BinaryMatrix& acts)
-{
-    ModelRegistry::Pinned pin = pinAndValidate(handle, layer, acts);
-    queue.push_back({std::move(pin), layer, BinaryMatrix{}, &acts});
-    return queue.size() - 1;
-}
-
-size_t
-PhiEngine::enqueueBorrowed(size_t layer, const BinaryMatrix& acts)
-{
-    return enqueueBorrowed(requireDefault(), layer, acts);
-}
-
-size_t
-PhiEngine::enqueuePinned(ModelRegistry::Pinned pin, size_t layer,
-                         const BinaryMatrix& acts)
-{
-    // A null pin is reachable from user code (a default-constructed
-    // Pinned, or one kept across an unload), so it must reject like
-    // every other bad request instead of taking the process down.
-    if (!pin)
-        throw EngineError(EngineError::Code::UnknownModel,
-                          "enqueuePinned() needs a resolved pin");
-    queue.push_back({std::move(pin), layer, BinaryMatrix{}, &acts});
-    return queue.size() - 1;
-}
-
 std::vector<EngineResponse>
-PhiEngine::flush()
+PhiEngine::serve(std::span<const EngineRequest> batch)
 {
-    if (queue.empty())
-        return {};
-    // Whatever happens inside (allocation failure, a kernel throw), the
-    // queue must not survive this call: the responses are lost with the
-    // exception anyway, and borrowed requests must never outlive the
-    // flush that was meant to consume them.
-    try {
-        std::vector<EngineResponse> responses = flushImpl();
-        queue.clear();
-        return responses;
-    } catch (...) {
-        queue.clear();
-        throw;
+    // Reject the whole batch before any allocation or compute: a bad
+    // request leaves the engine exactly as it was.
+    for (const EngineRequest& req : batch) {
+        // A null pin is reachable from user code (a default-constructed
+        // Pinned), so it rejects like every other bad request.
+        if (!req.pin)
+            throw EngineError(EngineError::Code::UnknownModel,
+                              "serve() needs a resolved pin");
+        if (req.acts == nullptr)
+            throw EngineError(EngineError::Code::NullActivation,
+                              "null activation in batch");
+        validate(*req.pin, req.layer, *req.acts);
     }
-}
-
-std::vector<EngineResponse>
-PhiEngine::flushImpl()
-{
-    const size_t n = queue.size();
+    const size_t n = batch.size();
+    if (n == 0)
+        return {};
     std::vector<EngineResponse> responses(n);
 
     // Allocate every response's output (and the latency scratch, a
-    // member reused across flushes) on the submitting thread before
+    // member reused across batches) on the calling thread before
     // dispatch: worker chunks then compute into pre-sized buffers and
     // never meet in the allocator mid-batch.
     for (size_t i = 0; i < n; ++i) {
-        const EngineRequest& req = queue[i];
+        const EngineRequest& req = batch[i];
         responses[i].model = req.pin.handle;
         responses[i].layer = req.layer;
         responses[i].out = Matrix<int32_t>::uninitialized(
-            req.acts().rows(),
+            req.acts->rows(),
             req.pin->layer(req.layer).weights().cols());
     }
     latencyScratch.assign(n, 0.0);
@@ -205,10 +111,10 @@ PhiEngine::flushImpl()
     parallelFor(exec, 0, n, 1, [&](size_t i0, size_t i1) {
         for (size_t i = i0; i < i1; ++i) {
             const auto reqStart = Clock::now();
-            const EngineRequest& req = queue[i];
+            const EngineRequest& req = batch[i];
             const CompiledLayer& l = req.pin->layer(req.layer);
             EngineResponse& resp = responses[i];
-            l.computeInto(resp.out, l.decompose(req.acts(), exec),
+            l.computeInto(resp.out, l.decompose(*req.acts, exec),
                           exec);
             latencyScratch[i] = secondsSince(reqStart);
         }
@@ -219,17 +125,17 @@ PhiEngine::flushImpl()
         std::chrono::duration<double>(batchEnd - batchStart).count();
 
     // Requests, rows and latencies go to the merged view and, exactly,
-    // to their model's. The flush's wall time, window and batch count go
-    // once to the merged view (never double-counted however many models
+    // to their model's. The batch's wall time, window and count go once
+    // to the merged view (never double-counted however many models
     // shared the batch) and once to every distinct model that took part
-    // in it (its requests really did occupy that flush).
+    // in it (its requests really did occupy that batch).
     std::vector<ServingStats*> touched = {&counters};
     for (size_t i = 0; i < n; ++i) {
-        const EngineRequest& req = queue[i];
+        const EngineRequest& req = batch[i];
         ServingStats& ms = modelCounters[req.pin.handle.name];
         for (ServingStats* s : {&counters, &ms}) {
             s->requests += 1;
-            s->rows += req.acts().rows();
+            s->rows += req.acts->rows();
             s->latency.record(latencyScratch[i]);
         }
         if (std::find(touched.begin(), touched.end(), &ms) == touched.end())
@@ -255,57 +161,8 @@ EngineResponse
 PhiEngine::serve(const ModelHandle& handle, size_t layer,
                  const BinaryMatrix& acts)
 {
-    if (!queue.empty())
-        throw EngineError(EngineError::Code::PendingRequests,
-                          "serve() with requests pending; flush() them "
-                          "first");
-    enqueueBorrowed(handle, layer, acts);
-    std::vector<EngineResponse> responses = flush();
-    return std::move(responses.front());
-}
-
-EngineResponse
-PhiEngine::serve(size_t layer, const BinaryMatrix& acts)
-{
-    return serve(requireDefault(), layer, acts);
-}
-
-std::vector<EngineResponse>
-PhiEngine::serveBatch(const ModelHandle& handle, size_t layer,
-                      const std::vector<const BinaryMatrix*>& batch)
-{
-    if (!queue.empty())
-        throw EngineError(EngineError::Code::PendingRequests,
-                          "serveBatch() with requests pending; flush() "
-                          "them first");
-    try {
-        // One pin for the whole batch: every request serves the same
-        // epoch even if a swap lands mid-enqueue.
-        ModelRegistry::Pinned pin;
-        for (const BinaryMatrix* acts : batch) {
-            if (acts == nullptr)
-                throw EngineError(EngineError::Code::NullActivation,
-                                  "null activation in batch");
-            if (!pin)
-                pin = pinAndValidate(handle, layer, *acts);
-            else
-                validate(*pin, layer, *acts);
-            enqueuePinned(pin, layer, *acts);
-        }
-        return flush();
-    } catch (...) {
-        // A rejected request must leave the engine idle and
-        // serviceable, with no queued borrows outliving this call.
-        queue.clear();
-        throw;
-    }
-}
-
-std::vector<EngineResponse>
-PhiEngine::serveBatch(size_t layer,
-                      const std::vector<const BinaryMatrix*>& batch)
-{
-    return serveBatch(requireDefault(), layer, batch);
+    const EngineRequest req{models->pin(handle), layer, &acts};
+    return std::move(serve(std::span(&req, 1)).front());
 }
 
 } // namespace phi

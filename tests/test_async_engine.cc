@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -59,6 +60,9 @@ class AsyncPhiEngineTest : public ::testing::Test
         pipe.addLayer("head", {&train1})
             .bindWeights(test::randomWeights(64, 10, 3));
         model = pipe.compile();
+        const test::OneModel loaded = test::oneModelRegistry(model);
+        registry = loaded.registry;
+        handle = loaded.handle;
     }
 
     std::vector<BinaryMatrix>
@@ -80,6 +84,9 @@ class AsyncPhiEngineTest : public ::testing::Test
     }
 
     CompiledModel model;
+    /** A registry holding a copy of model, under handle. */
+    std::shared_ptr<ModelRegistry> registry;
+    ModelHandle handle;
 };
 
 TEST_F(AsyncPhiEngineTest, AsyncMatchesSynchronousServeAtAnyThreadCount)
@@ -92,10 +99,10 @@ TEST_F(AsyncPhiEngineTest, AsyncMatchesSynchronousServeAtAnyThreadCount)
         ref.push_back(expected(0, acts));
 
     for (int threads : {1, 2, 8}) {
-        AsyncPhiEngine engine(model, withThreads(threads));
+        AsyncPhiEngine engine(registry, withThreads(threads));
         std::vector<std::future<EngineResponse>> futures;
         for (const auto& acts : reqs)
-            futures.push_back(engine.submit(0, acts));
+            futures.push_back(engine.submit(handle, 0, acts));
         for (size_t i = 0; i < futures.size(); ++i) {
             EngineResponse resp = futures[i].get();
             EXPECT_EQ(resp.layer, 0u);
@@ -119,12 +126,12 @@ TEST_F(AsyncPhiEngineTest, CoalescingRespectsMaxBatch)
     AsyncEngineConfig cfg;
     cfg.maxBatch = 4;
     cfg.maxLingerMicros = 50'000;
-    AsyncPhiEngine engine(model, withThreads(2), cfg);
+    AsyncPhiEngine engine(registry, withThreads(2), cfg);
 
     const std::vector<BinaryMatrix> reqs = makeRequests(10, 96, 303);
     std::vector<std::future<EngineResponse>> futures;
     for (const auto& acts : reqs)
-        futures.push_back(engine.submit(0, acts));
+        futures.push_back(engine.submit(handle, 0, acts));
     for (size_t i = 0; i < futures.size(); ++i)
         EXPECT_EQ(futures[i].get().out, expected(0, reqs[i]));
 
@@ -144,7 +151,7 @@ TEST_F(AsyncPhiEngineTest, ManyProducersAllGetCorrectResponses)
     AsyncEngineConfig cfg;
     cfg.maxBatch = 8;
     cfg.maxQueueDepth = 16; // small enough that Block engages
-    AsyncPhiEngine engine(model, withThreads(2), cfg);
+    AsyncPhiEngine engine(registry, withThreads(2), cfg);
 
     std::atomic<size_t> mismatches{0};
     std::atomic<size_t> failures{0};
@@ -157,7 +164,7 @@ TEST_F(AsyncPhiEngineTest, ManyProducersAllGetCorrectResponses)
                 makeRequests(kPerProducer, k, 400 + p);
             std::vector<std::future<EngineResponse>> futures;
             for (const auto& acts : reqs)
-                futures.push_back(engine.submit(layer, acts));
+                futures.push_back(engine.submit(handle, layer, acts));
             for (size_t i = 0; i < futures.size(); ++i) {
                 try {
                     EngineResponse resp = futures[i].get();
@@ -187,19 +194,19 @@ TEST_F(AsyncPhiEngineTest, InvalidRequestRejectsOnlyItsOwnFuture)
     // (c) invalid requests interleaved with valid ones: each resolves
     // its own future with a typed EngineError; the valid neighbours
     // and the engine itself are untouched.
-    AsyncPhiEngine engine(model, withThreads(2));
+    AsyncPhiEngine engine(registry, withThreads(2));
     Rng rng(71);
     const std::vector<BinaryMatrix> good = makeRequests(6, 96, 501);
     BinaryMatrix wrongK = BinaryMatrix::random(16, 32, 0.2, rng);
     BinaryMatrix okShape = BinaryMatrix::random(16, 96, 0.2, rng);
 
     std::vector<std::future<EngineResponse>> goodFutures;
-    goodFutures.push_back(engine.submit(0, good[0]));
-    auto badShape = engine.submit(0, wrongK);   // ShapeMismatch
-    goodFutures.push_back(engine.submit(0, good[1]));
-    auto badLayer = engine.submit(9, okShape);  // InvalidLayer
+    goodFutures.push_back(engine.submit(handle, 0, good[0]));
+    auto badShape = engine.submit(handle, 0, wrongK);   // ShapeMismatch
+    goodFutures.push_back(engine.submit(handle, 0, good[1]));
+    auto badLayer = engine.submit(handle, 9, okShape);  // InvalidLayer
     for (size_t i = 2; i < good.size(); ++i)
-        goodFutures.push_back(engine.submit(0, good[i]));
+        goodFutures.push_back(engine.submit(handle, 0, good[i]));
 
     try {
         badShape.get();
@@ -218,7 +225,8 @@ TEST_F(AsyncPhiEngineTest, InvalidRequestRejectsOnlyItsOwnFuture)
             << "valid request " << i << " poisoned by a rejected one";
 
     // Still serving afterwards.
-    EXPECT_EQ(engine.submit(0, good[0]).get().out, expected(0, good[0]));
+    EXPECT_EQ(engine.submit(handle, 0, good[0]).get().out,
+              expected(0, good[0]));
     EXPECT_EQ(engine.stats().requests, good.size() + 1);
 }
 
@@ -233,13 +241,13 @@ TEST_F(AsyncPhiEngineTest, RejectPolicyResolvesOverflowWithQueueFull)
     cfg.maxLingerMicros = 2'000'000;
     cfg.maxQueueDepth = 3;
     cfg.backpressure = AsyncEngineConfig::Backpressure::Reject;
-    AsyncPhiEngine engine(model, withThreads(2), cfg);
+    AsyncPhiEngine engine(registry, withThreads(2), cfg);
 
     const std::vector<BinaryMatrix> reqs = makeRequests(4, 96, 601);
     std::vector<std::future<EngineResponse>> queued;
     for (size_t i = 0; i < 3; ++i)
-        queued.push_back(engine.submit(0, reqs[i]));
-    auto overflow = engine.submit(0, reqs[3]);
+        queued.push_back(engine.submit(handle, 0, reqs[i]));
+    auto overflow = engine.submit(handle, 0, reqs[3]);
     try {
         overflow.get();
         FAIL() << "overflow submit was accepted past maxQueueDepth";
@@ -262,12 +270,12 @@ TEST_F(AsyncPhiEngineTest, BlockPolicySmallQueueIsLossless)
     cfg.maxBatch = 1;
     cfg.maxLingerMicros = 0;
     cfg.maxQueueDepth = 1;
-    AsyncPhiEngine engine(model, withThreads(1), cfg);
+    AsyncPhiEngine engine(registry, withThreads(1), cfg);
 
     const std::vector<BinaryMatrix> reqs = makeRequests(8, 96, 701);
     std::vector<std::future<EngineResponse>> futures;
     for (const auto& acts : reqs)
-        futures.push_back(engine.submit(0, acts));
+        futures.push_back(engine.submit(handle, 0, acts));
     for (size_t i = 0; i < futures.size(); ++i)
         EXPECT_EQ(futures[i].get().out, expected(0, reqs[i]));
     EXPECT_EQ(engine.stats().rejected, 0u);
@@ -278,11 +286,11 @@ TEST_F(AsyncPhiEngineTest, DrainWaitsForEverythingSubmitted)
 {
     AsyncEngineConfig cfg;
     cfg.maxLingerMicros = 10'000;
-    AsyncPhiEngine engine(model, withThreads(2), cfg);
+    AsyncPhiEngine engine(registry, withThreads(2), cfg);
     const std::vector<BinaryMatrix> reqs = makeRequests(9, 96, 801);
     std::vector<std::future<EngineResponse>> futures;
     for (const auto& acts : reqs)
-        futures.push_back(engine.submit(0, acts));
+        futures.push_back(engine.submit(handle, 0, acts));
     engine.drain();
     // After drain() every already-submitted future is ready.
     for (auto& f : futures)
@@ -293,86 +301,15 @@ TEST_F(AsyncPhiEngineTest, DrainWaitsForEverythingSubmitted)
         EXPECT_EQ(futures[i].get().out, expected(0, reqs[i]));
 }
 
-TEST_F(AsyncPhiEngineTest, DrainedFutureResolvesAfterPendingWork)
-{
-    AsyncEngineConfig cfg;
-    cfg.maxLingerMicros = 10'000;
-    AsyncPhiEngine engine(model, withThreads(2), cfg);
-    const std::vector<BinaryMatrix> reqs = makeRequests(9, 96, 811);
-    std::vector<std::future<EngineResponse>> futures;
-    for (const auto& acts : reqs)
-        futures.push_back(engine.submit(0, acts));
-
-    // The non-blocking drain: the caller keeps its thread and waits
-    // on the future instead.
-    std::future<void> drained = engine.drainedFuture();
-    ASSERT_EQ(drained.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready);
-    drained.get(); // must not throw, must not be broken
-
-    // Everything submitted before drainedFuture() is now ready.
-    for (auto& f : futures)
-        EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
-                  std::future_status::ready);
-    for (size_t i = 0; i < futures.size(); ++i)
-        EXPECT_EQ(futures[i].get().out, expected(0, reqs[i]));
-}
-
-TEST_F(AsyncPhiEngineTest, DrainedFutureResolvesImmediatelyWhenIdle)
-{
-    AsyncPhiEngine engine(model);
-    std::future<void> drained = engine.drainedFuture();
-    EXPECT_EQ(drained.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    drained.get();
-
-    // And again after traffic has fully settled.
-    const BinaryMatrix acts = makeRequests(1, 96, 812)[0];
-    engine.submit(0, acts).get();
-    engine.drain();
-    std::future<void> after = engine.drainedFuture();
-    EXPECT_EQ(after.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-}
-
-TEST_F(AsyncPhiEngineTest, DrainedFutureIsNeverBrokenByShutdown)
-{
-    // A drainedFuture() outstanding when the engine shuts down (or is
-    // destroyed) must still resolve — a broken promise would turn a
-    // caller's wait into std::future_error.
-    std::future<void> drained;
-    {
-        AsyncEngineConfig cfg;
-        cfg.maxLingerMicros = 5'000;
-        AsyncPhiEngine engine(model, withThreads(2), cfg);
-        for (const auto& acts : makeRequests(6, 96, 813))
-            engine.submit(0, acts);
-        drained = engine.drainedFuture();
-        engine.shutdown();
-    }
-    ASSERT_EQ(drained.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready);
-    EXPECT_NO_THROW(drained.get());
-
-    // After shutdown() the engine is idle by definition: a fresh
-    // drainedFuture() resolves immediately.
-    AsyncPhiEngine engine(model);
-    engine.shutdown();
-    std::future<void> postShutdown = engine.drainedFuture();
-    EXPECT_EQ(postShutdown.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_NO_THROW(postShutdown.get());
-}
-
 TEST_F(AsyncPhiEngineTest, ShutdownServesQueuedThenRefusesNewWork)
 {
     const std::vector<BinaryMatrix> reqs = makeRequests(5, 96, 901);
     std::vector<std::future<EngineResponse>> futures;
     AsyncEngineConfig cfg;
     cfg.maxLingerMicros = 20'000; // queue them up before shutdown
-    AsyncPhiEngine engine(model, withThreads(2), cfg);
+    AsyncPhiEngine engine(registry, withThreads(2), cfg);
     for (const auto& acts : reqs)
-        futures.push_back(engine.submit(0, acts));
+        futures.push_back(engine.submit(handle, 0, acts));
     engine.shutdown();
     engine.shutdown(); // idempotent
 
@@ -380,7 +317,7 @@ TEST_F(AsyncPhiEngineTest, ShutdownServesQueuedThenRefusesNewWork)
     for (size_t i = 0; i < futures.size(); ++i)
         EXPECT_EQ(futures[i].get().out, expected(0, reqs[i]));
     // ...and new work is refused recoverably.
-    auto late = engine.submit(0, reqs[0]);
+    auto late = engine.submit(handle, 0, reqs[0]);
     try {
         late.get();
         FAIL() << "submit() accepted after shutdown";
@@ -398,9 +335,9 @@ TEST_F(AsyncPhiEngineTest, DestructorNeverBreaksPromises)
     {
         AsyncEngineConfig cfg;
         cfg.maxLingerMicros = 20'000;
-        AsyncPhiEngine engine(model, withThreads(2), cfg);
+        AsyncPhiEngine engine(registry, withThreads(2), cfg);
         for (const auto& acts : reqs)
-            futures.push_back(engine.submit(0, acts));
+            futures.push_back(engine.submit(handle, 0, acts));
     }
     for (size_t i = 0; i < futures.size(); ++i)
         EXPECT_EQ(futures[i].get().out, expected(0, reqs[i]));
@@ -413,7 +350,7 @@ TEST_F(AsyncPhiEngineTest, StatsSnapshotIsConsistentUnderLoad)
     // final counters and the derived queue/linger metrics.
     AsyncEngineConfig cfg;
     cfg.maxBatch = 4;
-    AsyncPhiEngine engine(model, withThreads(2), cfg);
+    AsyncPhiEngine engine(registry, withThreads(2), cfg);
 
     std::atomic<bool> done{false};
     std::thread poller([&] {
@@ -426,7 +363,7 @@ TEST_F(AsyncPhiEngineTest, StatsSnapshotIsConsistentUnderLoad)
     std::vector<std::future<EngineResponse>> futures;
     const std::vector<BinaryMatrix> reqs = makeRequests(32, 96, 1101);
     for (const auto& acts : reqs)
-        futures.push_back(engine.submit(0, acts));
+        futures.push_back(engine.submit(handle, 0, acts));
     for (auto& f : futures)
         f.get();
     done.store(true);
@@ -457,33 +394,33 @@ TEST_F(AsyncPhiEngineTest, ConcurrentShutdownsWithDrainWaitersResolve)
     AsyncEngineConfig cfg;
     cfg.maxBatch = 4;
     cfg.maxQueueDepth = 64;
-    AsyncPhiEngine engine(model, withThreads(2), cfg);
+    AsyncPhiEngine engine(registry, withThreads(2), cfg);
 
     std::vector<std::future<EngineResponse>> futures;
     const std::vector<BinaryMatrix> reqs = makeRequests(24, 96, 2201);
     for (const auto& acts : reqs)
-        futures.push_back(engine.submit(0, acts));
-    std::vector<std::future<void>> drains;
-    for (int i = 0; i < 4; ++i)
-        drains.push_back(engine.drainedFuture());
+        futures.push_back(engine.submit(handle, 0, acts));
 
     // Racing shutdowns: each takes `mutex` (to stop intake), then the
     // leaf `joinMutex` (to join the dispatcher) — never both at once.
-    // All must return; none may deadlock against the dispatcher's own
-    // mutex/statsMutex cycle or against each other.
-    std::vector<std::thread> stoppers;
-    for (int i = 0; i < 4; ++i)
-        stoppers.emplace_back([&engine] { engine.shutdown(); });
-    for (auto& t : stoppers)
+    // Racing drains park on `idle` under `mutex`. All must return; none
+    // may deadlock against the dispatcher's own mutex/statsMutex cycle
+    // or against each other, and a drain() outstanding when the
+    // dispatcher exits must still be released.
+    std::vector<std::thread> racers;
+    for (int i = 0; i < 4; ++i) {
+        racers.emplace_back([&engine] { engine.drain(); });
+        racers.emplace_back([&engine] { engine.shutdown(); });
+    }
+    for (auto& t : racers)
         t.join();
 
-    // Shutdown serves everything already queued...
+    // Shutdown serves everything already queued, and the engine is
+    // idle: a drain() after the dispatcher exited returns at once.
     for (auto& f : futures)
         EXPECT_NO_THROW(f.get());
-    // ...and drain waiters registered before it are resolved, not
-    // leaked (a broken promise would throw std::future_error here).
-    for (auto& d : drains)
-        EXPECT_NO_THROW(d.get());
+    engine.drain();
+    EXPECT_EQ(engine.queueDepth(), 0u);
 }
 
 TEST_F(AsyncPhiEngineTest, DropStatsForRacingStatsReadersIsSafe)
@@ -491,8 +428,8 @@ TEST_F(AsyncPhiEngineTest, DropStatsForRacingStatsReadersIsSafe)
     AsyncEngineConfig cfg;
     cfg.maxBatch = 4;
     cfg.maxQueueDepth = 64;
-    AsyncPhiEngine engine(model, withThreads(2), cfg);
-    const std::string name = PhiEngine::kLegacyModelName;
+    AsyncPhiEngine engine(registry, withThreads(2), cfg);
+    const std::string name = handle.name;
 
     // Readers hammer every stats surface (statsMutex) while a dropper
     // interleaves dropStatsFor (statsMutex then mutex, sequentially)
@@ -519,7 +456,7 @@ TEST_F(AsyncPhiEngineTest, DropStatsForRacingStatsReadersIsSafe)
     const std::vector<BinaryMatrix> reqs = makeRequests(48, 96, 2301);
     std::vector<std::future<EngineResponse>> futures;
     for (const auto& acts : reqs)
-        futures.push_back(engine.submit(0, acts));
+        futures.push_back(engine.submit(handle, 0, acts));
     for (size_t i = 0; i < futures.size(); ++i) {
         EngineResponse resp = futures[i].get();
         EXPECT_EQ(resp.out, expected(0, reqs[i])) << "request " << i;

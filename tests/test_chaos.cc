@@ -105,6 +105,9 @@ class ChaosTest : public ::testing::Test
         pipe.addLayer("l0", {&train})
             .bindWeights(test::randomWeights(64, 16, 3));
         model = pipe.compile();
+        const test::OneModel loaded = test::oneModelRegistry(model);
+        registry = loaded.registry;
+        handle = loaded.handle;
     }
 
     void TearDown() override { failpoint::reset(); }
@@ -137,8 +140,6 @@ class ChaosTest : public ::testing::Test
 #ifndef __linux__
         return 0;
 #else
-        auto registry = std::make_shared<ModelRegistry>();
-        registry->load("m", model);
         AsyncEngineConfig engineCfg;
         engineCfg.maxLingerMicros = 0;
         engineCfg.backpressure =
@@ -183,6 +184,9 @@ class ChaosTest : public ::testing::Test
     }
 
     CompiledModel model;
+    /** A registry holding a copy of model, under handle ("m"). */
+    std::shared_ptr<ModelRegistry> registry;
+    ModelHandle handle;
 };
 
 TEST_F(ChaosTest, InjectedReadFailureIsAnIoErrorNamingTheFile)
@@ -232,16 +236,16 @@ TEST_F(ChaosTest, PoolTaskFailureFailsTheBatchTypedAndEngineRecovers)
     if (ThreadPool::global().maxParallelism() < 2)
         GTEST_SKIP() << "one hardware thread: the pool is bypassed, so "
                         "the pool.task site is unreachable";
-    AsyncPhiEngine engine(model);
+    AsyncPhiEngine engine(registry);
     // First make sure traffic flows, then poison exactly one chunk.
     const BinaryMatrix acts = makeActs(41);
-    EXPECT_EQ(engine.submit(0, acts).get().out, expected(acts));
+    EXPECT_EQ(engine.submit(handle, 0, acts).get().out, expected(acts));
 
     failpoint::enable(failpoint::sites::kPoolTask,
                       failpoint::Policy::once());
     std::vector<std::future<EngineResponse>> futures;
     for (int i = 0; i < 6; ++i)
-        futures.push_back(engine.submit(0, makeActs(100 + i)));
+        futures.push_back(engine.submit(handle, 0, makeActs(100 + i)));
 
     // Every future resolves — some with values (batches the fault
     // missed), the poisoned batch's with EngineError(Internal) that
@@ -264,13 +268,11 @@ TEST_F(ChaosTest, PoolTaskFailureFailsTheBatchTypedAndEngineRecovers)
     // The pool drained the poisoned batch; serving continues correct.
     failpoint::disable(failpoint::sites::kPoolTask);
     const BinaryMatrix after = makeActs(42);
-    EXPECT_EQ(engine.submit(0, after).get().out, expected(after));
+    EXPECT_EQ(engine.submit(handle, 0, after).get().out, expected(after));
 }
 
 TEST_F(ChaosTest, InjectedSessionStepFailsOneStreamTypedAndKeepsStateConsistent)
 {
-    auto registry = std::make_shared<ModelRegistry>();
-    registry->load("m", model);
     AsyncPhiEngine engine(registry);
     SessionManager mgr(engine);
     const Matrix<int16_t> weights = test::randomWeights(64, 16, 3);
@@ -346,13 +348,13 @@ TEST_F(ChaosTest, DispatcherCrashIsCaughtByTheWatchdog)
 {
     AsyncEngineConfig cfg;
     cfg.maxLingerMicros = 20'000; // coalesce the salvo into one batch
-    AsyncPhiEngine engine(model, {}, cfg);
+    AsyncPhiEngine engine(registry, {}, cfg);
 
     failpoint::enable(failpoint::sites::kDispatcherLoop,
                       failpoint::Policy::once());
     std::vector<std::future<EngineResponse>> futures;
     for (int i = 0; i < 4; ++i)
-        futures.push_back(engine.submit(0, makeActs(200 + i)));
+        futures.push_back(engine.submit(handle, 0, makeActs(200 + i)));
 
     // The crashed dispatch's futures resolve with EngineError(Internal)
     // from the watchdog; any batch dispatched after the restart serves
@@ -373,7 +375,7 @@ TEST_F(ChaosTest, DispatcherCrashIsCaughtByTheWatchdog)
     // The watchdog counted the restart and the engine still serves.
     failpoint::disable(failpoint::sites::kDispatcherLoop);
     const BinaryMatrix after = makeActs(201);
-    EXPECT_EQ(engine.submit(0, after).get().out, expected(after));
+    EXPECT_EQ(engine.submit(handle, 0, after).get().out, expected(after));
     engine.drain();
     const ServingStats s = engine.stats();
     EXPECT_EQ(s.watchdogRestarts, 1u);
@@ -383,14 +385,14 @@ TEST_F(ChaosTest, DispatcherCrashIsCaughtByTheWatchdog)
 
 TEST_F(ChaosTest, WatchdogSurvivesRepeatedDispatcherCrashes)
 {
-    AsyncPhiEngine engine(model);
+    AsyncPhiEngine engine(registry);
     failpoint::enable(failpoint::sites::kDispatcherLoop,
                       failpoint::Policy::everyNth(2));
     // With every second dispatch crashing, every future must still
     // resolve one way or the other, and the loop keeps coming back.
     size_t values = 0, errors = 0;
     for (int i = 0; i < 12; ++i) {
-        auto fut = engine.submit(0, makeActs(300 + i));
+        auto fut = engine.submit(handle, 0, makeActs(300 + i));
         try {
             fut.get();
             ++values;
@@ -403,7 +405,7 @@ TEST_F(ChaosTest, WatchdogSurvivesRepeatedDispatcherCrashes)
     EXPECT_GE(errors, 1u);
     failpoint::disable(failpoint::sites::kDispatcherLoop);
     const BinaryMatrix after = makeActs(301);
-    EXPECT_EQ(engine.submit(0, after).get().out, expected(after));
+    EXPECT_EQ(engine.submit(handle, 0, after).get().out, expected(after));
     EXPECT_GE(engine.stats().watchdogRestarts, 1u);
 }
 
@@ -495,8 +497,6 @@ TEST_F(ChaosTest, EveryRegisteredSiteIsSurvivable)
         // The session site sits on the stateful streaming path: only
         // a SessionManager pumping step futures can reach it.
         if (site == failpoint::sites::kSessionStep) {
-            auto registry = std::make_shared<ModelRegistry>();
-            registry->load("m", model);
             AsyncPhiEngine engine(registry);
             SessionManager mgr(engine);
             const uint64_t sid = mgr.open("m");
@@ -550,13 +550,13 @@ TEST_F(ChaosTest, EveryRegisteredSiteIsSurvivable)
         // actually fans out through the pool instead of taking the
         // single-chunk inline fast path that bypasses pool.task.
         {
-            AsyncPhiEngine engine(model);
+            AsyncPhiEngine engine(registry);
             for (int i = 0; i < 8; ++i) {
                 Rng rng(500 + static_cast<uint64_t>(i));
                 const BinaryMatrix acts =
                     BinaryMatrix::random(96, 64, 0.2, rng);
                 try {
-                    EngineResponse r = engine.submit(0, acts).get();
+                    EngineResponse r = engine.submit(handle, 0, acts).get();
                     EXPECT_EQ(r.layer, 0u);
                 } catch (const EngineError&) {
                 }
@@ -570,9 +570,9 @@ TEST_F(ChaosTest, EveryRegisteredSiteIsSurvivable)
         // Disarmed: full round trip and a correct response.
         io::saveModel(model, f.path);
         io::loadModel(f.path);
-        AsyncPhiEngine engine(model);
+        AsyncPhiEngine engine(registry);
         const BinaryMatrix acts = makeActs(999);
-        EXPECT_EQ(engine.submit(0, acts).get().out, expected(acts));
+        EXPECT_EQ(engine.submit(handle, 0, acts).get().out, expected(acts));
     }
 }
 

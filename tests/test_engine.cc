@@ -2,16 +2,18 @@
  * @file
  * Runtime engine tests: the compile/serve split end to end. A model
  * compiled and saved by one "process" (the fixture) is loaded from the
- * artifact file by a fresh PhiEngine and must produce bit-identical
- * outputs to the in-memory compute path at 1, 2 and 8 threads — the
- * acceptance criterion of the compile/serve refactor.
+ * artifact file into a fresh registry and PhiEngine and must produce
+ * bit-identical outputs to the in-memory compute path at 1, 2 and 8
+ * threads — the acceptance criterion of the compile/serve refactor.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <unistd.h>
+#include <utility>
 
 #include "common/rng.hh"
 #include "core/pipeline.hh"
@@ -76,6 +78,27 @@ class PhiEngineTest : public ::testing::Test
         return reqs;
     }
 
+    /** The artifact loaded into a fresh one-model registry — what a
+     *  serving process starts from. */
+    test::OneModel load() const
+    {
+        return test::oneModelRegistry(io::loadModel(artifact));
+    }
+
+    /** One request per matrix of @p acts, all on @p layer of the
+     *  loaded model's current version. */
+    static std::vector<EngineRequest>
+    batchOf(const test::OneModel& loaded, size_t layer,
+            const std::vector<BinaryMatrix>& acts)
+    {
+        const ModelRegistry::Pinned pin =
+            loaded.registry->pin(loaded.handle);
+        std::vector<EngineRequest> batch;
+        for (const BinaryMatrix& a : acts)
+            batch.push_back({pin, layer, &a});
+        return batch;
+    }
+
     BinaryMatrix train0, train1;
     CompiledModel reference;
     std::string artifact;
@@ -94,10 +117,10 @@ TEST_F(PhiEngineTest, LoadedEngineMatchesInMemoryComputeAtAnyThreadCount)
             reference.layer(0).decompose(acts)));
 
     for (int threads : {1, 2, 8}) {
-        PhiEngine engine(io::loadModel(artifact), withThreads(threads));
-        for (const auto& acts : reqs)
-            engine.enqueue(0, acts);
-        const std::vector<EngineResponse> out = engine.flush();
+        const test::OneModel loaded = load();
+        PhiEngine engine(loaded.registry, withThreads(threads));
+        const std::vector<EngineResponse> out =
+            engine.serve(batchOf(loaded, 0, reqs));
         ASSERT_EQ(out.size(), reqs.size());
         for (size_t i = 0; i < reqs.size(); ++i)
             EXPECT_EQ(out[i].out, ref[i])
@@ -107,19 +130,17 @@ TEST_F(PhiEngineTest, LoadedEngineMatchesInMemoryComputeAtAnyThreadCount)
 
 TEST_F(PhiEngineTest, MixedLayerBatchKeepsEnqueueOrder)
 {
-    PhiEngine engine(io::loadModel(artifact), withThreads(8));
+    const test::OneModel loaded = load();
+    PhiEngine engine(loaded.registry, withThreads(8));
     Rng rng(55);
     BinaryMatrix a0 = BinaryMatrix::random(40, 96, 0.2, rng);
     BinaryMatrix a1 = BinaryMatrix::random(72, 64, 0.15, rng);
     BinaryMatrix a2 = BinaryMatrix::random(24, 96, 0.25, rng);
 
-    EXPECT_EQ(engine.enqueue(0, a0), 0u);
-    EXPECT_EQ(engine.enqueue(1, a1), 1u);
-    EXPECT_EQ(engine.enqueue(0, a2), 2u);
-    EXPECT_EQ(engine.pending(), 3u);
-
-    const auto out = engine.flush();
-    EXPECT_EQ(engine.pending(), 0u);
+    const ModelRegistry::Pinned pin = loaded.registry->pin(loaded.handle);
+    const std::vector<EngineRequest> batch = {
+        {pin, 0, &a0}, {pin, 1, &a1}, {pin, 0, &a2}};
+    const auto out = engine.serve(batch);
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0].layer, 0u);
     EXPECT_EQ(out[1].layer, 1u);
@@ -130,23 +151,23 @@ TEST_F(PhiEngineTest, MixedLayerBatchKeepsEnqueueOrder)
               reference.layer(1).compute(reference.layer(1).decompose(a1)));
     EXPECT_EQ(out[2].out,
               reference.layer(0).compute(reference.layer(0).decompose(a2)));
+    EXPECT_EQ(engine.stats().batches, 1u);
 }
 
 TEST_F(PhiEngineTest, ServeAndServeBatchConveniences)
 {
-    PhiEngine engine(io::loadModel(artifact));
+    const test::OneModel loaded = load();
+    PhiEngine engine(loaded.registry);
     Rng rng(66);
     BinaryMatrix acts = BinaryMatrix::random(32, 64, 0.2, rng);
-    const EngineResponse one = engine.serve(1, acts);
+    const EngineResponse one = engine.serve(loaded.handle, 1, acts);
     EXPECT_EQ(one.out,
               reference.layer(1).compute(reference.layer(1).decompose(acts)));
     EXPECT_EQ(one.layer, 1u);
+    EXPECT_EQ(one.model, loaded.handle);
 
     const std::vector<BinaryMatrix> reqs = makeRequests(3, 64, 67);
-    std::vector<const BinaryMatrix*> ptrs;
-    for (const auto& r : reqs)
-        ptrs.push_back(&r);
-    const auto out = engine.serveBatch(1, ptrs);
+    const auto out = engine.serve(batchOf(loaded, 1, reqs));
     ASSERT_EQ(out.size(), reqs.size());
     for (size_t i = 0; i < reqs.size(); ++i)
         EXPECT_EQ(out[i].out, reference.layer(1).compute(
@@ -155,15 +176,14 @@ TEST_F(PhiEngineTest, ServeAndServeBatchConveniences)
 
 TEST_F(PhiEngineTest, ServingCountersAccumulate)
 {
-    PhiEngine engine(io::loadModel(artifact));
+    const test::OneModel loaded = load();
+    PhiEngine engine(loaded.registry);
     const std::vector<BinaryMatrix> reqs = makeRequests(4, 96, 77);
     size_t rows = 0;
-    for (const auto& acts : reqs) {
-        engine.enqueue(0, acts);
+    for (const auto& acts : reqs)
         rows += acts.rows();
-    }
-    engine.flush();
-    engine.flush(); // empty flush: no batch, no request counted
+    engine.serve(batchOf(loaded, 0, reqs));
+    engine.serve(std::span<const EngineRequest>{}); // no batch counted
 
     const ServingStats& s = engine.stats();
     EXPECT_EQ(s.requests, reqs.size());
@@ -185,27 +205,28 @@ TEST_F(PhiEngineTest, RejectsInvalidRequestsRecoverably)
     // A malformed *user request* is not an internal invariant
     // violation: it must throw a catchable EngineError (never abort)
     // and leave the engine fully serviceable.
-    PhiEngine engine(io::loadModel(artifact));
+    const test::OneModel loaded = load();
+    PhiEngine engine(loaded.registry);
     Rng rng(88);
     BinaryMatrix wrongK = BinaryMatrix::random(16, 32, 0.2, rng);
     try {
-        engine.enqueue(0, wrongK);
+        engine.serve(loaded.handle, 0, wrongK);
         FAIL() << "wrong-K request was accepted";
     } catch (const EngineError& e) {
         EXPECT_EQ(e.code(), EngineErrorCode::ShapeMismatch);
     }
     BinaryMatrix ok = BinaryMatrix::random(16, 96, 0.2, rng);
     try {
-        engine.enqueue(7, ok);
+        engine.serve(loaded.handle, 7, ok);
         FAIL() << "out-of-range layer was accepted";
     } catch (const EngineError& e) {
         EXPECT_EQ(e.code(), EngineErrorCode::InvalidLayer);
     }
 
     // The engine survives rejected requests and keeps serving: nothing
-    // was queued, and a valid request still produces the exact result.
-    EXPECT_EQ(engine.pending(), 0u);
-    const EngineResponse resp = engine.serve(0, ok);
+    // was served, and a valid request still produces the exact result.
+    EXPECT_EQ(engine.stats().requests, 0u);
+    const EngineResponse resp = engine.serve(loaded.handle, 0, ok);
     EXPECT_EQ(resp.out,
               reference.layer(0).compute(reference.layer(0).decompose(ok)));
     EXPECT_EQ(engine.stats().requests, 1u);
@@ -217,10 +238,11 @@ TEST_F(PhiEngineTest, WeightlessLayerCannotServe)
     BinaryMatrix train = BinaryMatrix::random(64, 32, 0.2, rng);
     Pipeline pipe;
     pipe.addLayer("tableOnly", {&train});
-    PhiEngine engine(pipe.compile());
+    const test::OneModel loaded = test::oneModelRegistry(pipe.compile());
+    PhiEngine engine(loaded.registry);
     BinaryMatrix acts = BinaryMatrix::random(8, 32, 0.2, rng);
     try {
-        engine.enqueue(0, acts);
+        engine.serve(loaded.handle, 0, acts);
         FAIL() << "weightless layer accepted a compute request";
     } catch (const EngineError& e) {
         EXPECT_EQ(e.code(), EngineErrorCode::MissingWeights);
@@ -230,51 +252,51 @@ TEST_F(PhiEngineTest, WeightlessLayerCannotServe)
 TEST(PhiEngineErrors, EmptyModelIsRecoverable)
 {
     try {
-        PhiEngine engine(CompiledModel{});
-        FAIL() << "engine accepted an empty model";
+        test::oneModelRegistry(CompiledModel{});
+        FAIL() << "registry accepted an empty model";
+    } catch (const EngineError& e) {
+        EXPECT_EQ(e.code(), EngineErrorCode::EmptyModel);
+    }
+    try {
+        PhiEngine engine(nullptr);
+        FAIL() << "engine accepted a null registry";
     } catch (const EngineError& e) {
         EXPECT_EQ(e.code(), EngineErrorCode::EmptyModel);
     }
 }
 
-TEST_F(PhiEngineTest, EnqueueBorrowedIsZeroCopy)
-{
-    // The hot batch path must not clone a BinaryMatrix per request:
-    // a borrowed request queues the caller's matrix itself (pointer
-    // identity), and serveBatch() routes through this path.
-    PhiEngine engine(io::loadModel(artifact));
-    Rng rng(99);
-    BinaryMatrix acts = BinaryMatrix::random(16, 96, 0.2, rng);
-    EXPECT_EQ(engine.enqueueBorrowed(0, acts), 0u);
-    EXPECT_EQ(&engine.pendingActs(0), &acts);
-    // An owned enqueue in the same batch keeps its own storage.
-    BinaryMatrix owned = BinaryMatrix::random(8, 96, 0.2, rng);
-    const BinaryMatrix ownedCopy = owned;
-    engine.enqueue(0, std::move(owned));
-    EXPECT_NE(&engine.pendingActs(1), &acts);
-    const auto out = engine.flush();
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].out,
-              reference.layer(0).compute(reference.layer(0).decompose(acts)));
-    EXPECT_EQ(out[1].out, reference.layer(0).compute(
-                              reference.layer(0).decompose(ownedCopy)));
-}
-
 TEST_F(PhiEngineTest, ServeBatchRejectsNullAndStaysServiceable)
 {
-    PhiEngine engine(io::loadModel(artifact));
+    const test::OneModel loaded = load();
+    PhiEngine engine(loaded.registry);
+    const ModelRegistry::Pinned pin = loaded.registry->pin(loaded.handle);
     Rng rng(43);
     BinaryMatrix ok = BinaryMatrix::random(8, 96, 0.2, rng);
-    try {
-        engine.serveBatch(0, {&ok, nullptr});
-        FAIL() << "null activation was accepted";
-    } catch (const EngineError& e) {
-        EXPECT_EQ(e.code(), EngineErrorCode::NullActivation);
+
+    // Each bad request sits behind a good one: the whole batch must be
+    // rejected with the bad request's code before anything is served.
+    const std::vector<std::pair<EngineRequest, EngineErrorCode>> bad = {
+        {{ModelRegistry::Pinned{}, 0, &ok}, EngineErrorCode::UnknownModel},
+        {{pin, 0, nullptr}, EngineErrorCode::NullActivation},
+        {{pin, 9, &ok}, EngineErrorCode::InvalidLayer},
+    };
+    for (const auto& [req, code] : bad) {
+        const std::vector<EngineRequest> batch = {{pin, 0, &ok}, req};
+        try {
+            engine.serve(batch);
+            FAIL() << "bad request accepted, expected "
+                   << engineErrorCodeName(code);
+        } catch (const EngineError& e) {
+            EXPECT_EQ(e.code(), code);
+        }
+        EXPECT_EQ(engine.stats().requests, 0u);
+        EXPECT_EQ(engine.stats().batches, 0u);
+        EXPECT_TRUE(engine.perModelStats().empty());
     }
-    // The failed batch left nothing queued (no dangling borrows) and
-    // the engine still serves.
-    EXPECT_EQ(engine.pending(), 0u);
-    const auto out = engine.serveBatch(0, {&ok});
+
+    // The engine still serves the next call.
+    const std::vector<EngineRequest> good = {{pin, 0, &ok}};
+    const auto out = engine.serve(good);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].out,
               reference.layer(0).compute(reference.layer(0).decompose(ok)));
@@ -282,16 +304,17 @@ TEST_F(PhiEngineTest, ServeBatchRejectsNullAndStaysServiceable)
 
 TEST_F(PhiEngineTest, EmptyServeBatchAndZeroRowRequests)
 {
-    PhiEngine engine(io::loadModel(artifact));
-    // Empty batch: no flush, no counters.
-    EXPECT_TRUE(engine.serveBatch(0, {}).empty());
+    const test::OneModel loaded = load();
+    PhiEngine engine(loaded.registry);
+    // Empty batch: no batch, no counters.
+    EXPECT_TRUE(engine.serve(std::span<const EngineRequest>{}).empty());
     EXPECT_EQ(engine.stats().batches, 0u);
     EXPECT_EQ(engine.stats().requests, 0u);
 
     // A zero-row activation is a valid (if degenerate) request: it
     // serves an empty output instead of tripping an assert.
     BinaryMatrix empty(0, 96);
-    const EngineResponse resp = engine.serve(0, empty);
+    const EngineResponse resp = engine.serve(loaded.handle, 0, empty);
     EXPECT_EQ(resp.out.rows(), 0u);
     EXPECT_EQ(resp.out.cols(),
               reference.layer(0).weights().cols());

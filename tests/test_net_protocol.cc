@@ -227,6 +227,46 @@ TEST(NetProtocol, LyingActivationShapeIsTypedNotAnAllocationBomb)
     EXPECT_THROW(decodeRequest(r), io::IoError);
 }
 
+TEST(NetProtocol, RowsWithoutColumnsRequestIsTypedNotAStall)
+{
+    // rows = 2^32 - 1, cols = 0 needs zero payload bytes, so the byte
+    // budget passes it; the decoder must reject the shape itself
+    // instead of walking 4 billion empty rows.
+    io::ByteWriter w;
+    w.u32(1);           // id
+    w.str("vision");    // model
+    w.u64(0);           // version
+    w.u32(0);           // layer
+    w.u32(0);           // deadline
+    w.i32(0);           // priority
+    w.u32(0xFFFF'FFFF); // rows
+    w.u32(0);           // cols
+    io::ByteReader r(w.buffer().data(), w.buffer().size());
+    EXPECT_THROW(decodeRequest(r), io::IoError);
+
+    // The response decoder applies the same rule.
+    io::ByteWriter resp;
+    resp.u32(1);           // id
+    resp.str("vision");    // model
+    resp.u64(1);           // version
+    resp.u32(0);           // layer
+    resp.u32(0xFFFF'FFFF); // rows
+    resp.u32(0);           // cols
+    io::ByteReader rr(resp.buffer().data(), resp.buffer().size());
+    EXPECT_THROW(decodeResponse(rr), io::IoError);
+}
+
+TEST(NetProtocol, RowsWithoutColumnsStepSessionIsTypedNotAStall)
+{
+    io::ByteWriter w;
+    w.u32(1);           // id
+    w.u64(77);          // session id
+    w.u32(0xFFFF'FFFF); // rows
+    w.u32(0);           // cols
+    io::ByteReader r(w.buffer().data(), w.buffer().size());
+    EXPECT_THROW(decodeStepSession(r), io::IoError);
+}
+
 TEST(NetProtocol, TruncatedRequestBodyIsTyped)
 {
     io::ByteWriter w;

@@ -298,6 +298,39 @@ TEST_F(PhiServerTest, MalformedFrameGetsTypedErrorAndKeepsPoolAlive)
                 spikeGemm(acts, weights));
 }
 
+TEST_F(PhiServerTest, RowsWithoutColumnsGetsMalformedFrameAndConnectionServes)
+{
+    // A 2^32 - 1 x 0 activation shape passes every byte budget; the
+    // server must answer it MalformedFrame at once (not stall its net
+    // loop walking empty rows) and keep the connection serving.
+    auto server = startServer();
+    PhiClient client("127.0.0.1", server->port());
+    io::ByteWriter body;
+    body.u32(9);           // id
+    body.str("m");         // model
+    body.u64(0);           // version
+    body.u32(0);           // layer
+    body.u32(0);           // deadline
+    body.i32(0);           // priority
+    body.u32(0xFFFF'FFFF); // rows
+    body.u32(0);           // cols
+    const std::vector<uint8_t> frame =
+        encodeFrame(FrameType::Request, body.buffer());
+    client.sendRaw(frame.data(), frame.size());
+    // The body never decoded, so the error carries id 0 and the client
+    // raises it as a NetError.
+    try {
+        client.readReply();
+        FAIL() << "a rows-without-columns request was answered";
+    } catch (const NetError& e) {
+        EXPECT_EQ(e.code(), WireErrorCode::MalformedFrame);
+    }
+
+    const BinaryMatrix acts = makeActs(4, 51);
+    EXPECT_TRUE(client.request("m", 0, acts).out ==
+                spikeGemm(acts, weights));
+}
+
 TEST_F(PhiServerTest, BadMagicClosesOnlyTheGuiltyConnection)
 {
     auto server = startServer();

@@ -307,12 +307,15 @@ TEST(RegistryEngine, ServesTwoModelsThroughOneEngine)
     const std::vector<BinaryMatrix> visionReqs = makeRequests(3, 96, 21);
     const std::vector<BinaryMatrix> nlpReqs = makeRequests(3, 64, 22);
 
-    // Interleaved enqueue against both models, one flush.
+    // Interleaved requests against both models, one batch.
+    const ModelRegistry::Pinned visionPin = reg->pin(vision);
+    const ModelRegistry::Pinned nlpPin = reg->pin(nlp);
+    std::vector<EngineRequest> batch;
     for (size_t i = 0; i < 3; ++i) {
-        engine.enqueue(vision, 0, visionReqs[i]);
-        engine.enqueue(nlp, 0, nlpReqs[i]);
+        batch.push_back({visionPin, 0, &visionReqs[i]});
+        batch.push_back({nlpPin, 0, &nlpReqs[i]});
     }
-    const std::vector<EngineResponse> out = engine.flush();
+    const std::vector<EngineResponse> out = engine.serve(batch);
     ASSERT_EQ(out.size(), 6u);
     for (size_t i = 0; i < 3; ++i) {
         EXPECT_EQ(out[2 * i].model, vision);
@@ -337,16 +340,10 @@ TEST(RegistryEngine, ServesTwoModelsThroughOneEngine)
     EXPECT_EQ(engine.perModelStats().size(), 1u);
     EXPECT_EQ(engine.stats().requests, 6u);
 
-    // A registry-routed engine has no single "the model".
+    // A name the registry does not hold routes nowhere.
     try {
-        engine.model();
-        FAIL() << "model() on a registry-routed engine";
-    } catch (const EngineError& e) {
-        EXPECT_EQ(e.code(), EngineError::Code::UnknownModel);
-    }
-    try {
-        engine.serve(0, visionReqs[0]); // handle-less convenience
-        FAIL() << "handle-less serve routed without a default model";
+        engine.serve(ModelHandle{"ghost", 1}, 0, visionReqs[0]);
+        FAIL() << "served a model that was never loaded";
     } catch (const EngineError& e) {
         EXPECT_EQ(e.code(), EngineError::Code::UnknownModel);
     }
@@ -361,46 +358,21 @@ TEST(RegistryEngine, SwapMidQueueServesEachRequestOnItsPinnedVersion)
     const ModelHandle h1 = reg->load("m", makeModel(2));
     PhiEngine engine(reg, withThreads(2));
 
+    // Each request is pinned when it is built; a swap between the two
+    // pins splits one batch across both versions.
     const std::vector<BinaryMatrix> reqs = makeRequests(2, 96, 31);
-    engine.enqueue(h1, 0, reqs[0]);
+    std::vector<EngineRequest> batch;
+    batch.push_back({reg->pin(h1), 0, &reqs[0]});
     const ModelHandle h2 = reg->swap("m", makeModel(3));
-    engine.enqueue(h1, 0, reqs[1]); // stale handle: routes to current
+    // Stale handle: pins the current version.
+    batch.push_back({reg->pin(h1), 0, &reqs[1]});
 
-    const auto out = engine.flush();
+    const auto out = engine.serve(batch);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].model.version, 1u);
     EXPECT_EQ(out[0].out, expected(v1, 0, reqs[0]));
     EXPECT_EQ(out[1].model, h2);
     EXPECT_EQ(out[1].out, expected(v2, 0, reqs[1]));
-}
-
-TEST(RegistryEngine, LegacyEngineIsAOneEntryRegistry)
-{
-    // The single-model constructor keeps working and is documented as
-    // a thin one-entry registry: the default handle routes to
-    // kLegacyModelName@v1 and responses carry it.
-    const CompiledModel ref = makeModel(2);
-    PhiEngine engine(makeModel(2), withThreads(2));
-    EXPECT_EQ(engine.defaultModel(),
-              (ModelHandle{PhiEngine::kLegacyModelName, 1}));
-    EXPECT_EQ(engine.registry()->size(), 1u);
-    EXPECT_EQ(&engine.model(), &*engine.registry()->pin("default"))
-        << "legacy model() is the registry's resident model";
-
-    const BinaryMatrix acts = makeRequests(1, 96, 41)[0];
-    const EngineResponse resp = engine.serve(0, acts);
-    EXPECT_EQ(resp.model, engine.defaultModel());
-    EXPECT_EQ(resp.out, expected(ref, 0, acts));
-    EXPECT_EQ(engine.statsFor(PhiEngine::kLegacyModelName).requests, 1u);
-
-    // The engine's own lifetime pin makes unload of its model ModelBusy
-    // rather than yanking it out from under model().
-    try {
-        engine.registry()->unload(PhiEngine::kLegacyModelName);
-        FAIL() << "unloaded the engine's own model";
-    } catch (const EngineError& e) {
-        EXPECT_EQ(e.code(), EngineError::Code::ModelBusy);
-    }
 }
 
 // ---- Async: hot-swap under fire -------------------------------------
@@ -443,11 +415,11 @@ TEST(RegistryAsyncEngine, ServesTwoModelsAndReportsVersions)
     EXPECT_EQ(engine.perModelStats().count("nlp"), 0u);
     EXPECT_EQ(engine.statsFor("vision").requests, 4u);
 
-    // Handle-less submit has no default on a registry-routed engine.
-    auto fut = engine.submit(0, visionReqs[0]);
+    // A name the registry does not hold fails its own future.
+    auto fut = engine.submit(ModelHandle{"ghost", 1}, 0, visionReqs[0]);
     try {
         fut.get();
-        FAIL() << "handle-less submit routed without a default model";
+        FAIL() << "submit routed to a model that was never loaded";
     } catch (const EngineError& e) {
         EXPECT_EQ(e.code(), EngineError::Code::UnknownModel);
     }

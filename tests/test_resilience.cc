@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <future>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -44,6 +45,9 @@ class AsyncPhiEngineResilienceTest : public ::testing::Test
         pipe.addLayer("l0", {&train})
             .bindWeights(test::randomWeights(64, 16, 3));
         model = pipe.compile();
+        const test::OneModel loaded = test::oneModelRegistry(model);
+        registry = loaded.registry;
+        handle = loaded.handle;
     }
 
     BinaryMatrix
@@ -60,14 +64,17 @@ class AsyncPhiEngineResilienceTest : public ::testing::Test
     }
 
     CompiledModel model;
+    /** A registry holding a copy of model, under handle. */
+    std::shared_ptr<ModelRegistry> registry;
+    ModelHandle handle;
 };
 
 TEST_F(AsyncPhiEngineResilienceTest, AlreadyExpiredSubmitFailsFast)
 {
-    AsyncPhiEngine engine(model);
+    AsyncPhiEngine engine(registry);
     SubmitOptions opts;
     opts.deadline = Clock::now() - std::chrono::milliseconds(5);
-    auto fut = engine.submit(0, makeActs(1), opts);
+    auto fut = engine.submit(handle, 0, makeActs(1), opts);
     try {
         fut.get();
         FAIL() << "expected DeadlineExceeded";
@@ -87,11 +94,11 @@ TEST_F(AsyncPhiEngineResilienceTest, DeadlineExpiresInQueueBeforeCompute)
     // of serving it late.
     AsyncEngineConfig cfg;
     cfg.maxLingerMicros = 120'000;
-    AsyncPhiEngine engine(model, {}, cfg);
+    AsyncPhiEngine engine(registry, {}, cfg);
 
     SubmitOptions opts;
     opts.deadline = Clock::now() + std::chrono::milliseconds(5);
-    auto doomed = engine.submit(0, makeActs(2), opts);
+    auto doomed = engine.submit(handle, 0, makeActs(2), opts);
     try {
         doomed.get();
         FAIL() << "expected DeadlineExceeded";
@@ -101,7 +108,7 @@ TEST_F(AsyncPhiEngineResilienceTest, DeadlineExpiresInQueueBeforeCompute)
 
     // The engine is unharmed: a deadline-free request serves exactly.
     const BinaryMatrix acts = makeActs(3);
-    EXPECT_EQ(engine.submit(0, acts).get().out, expected(acts));
+    EXPECT_EQ(engine.submit(handle, 0, acts).get().out, expected(acts));
     engine.drain();
     const ServingStats s = engine.stats();
     EXPECT_EQ(s.expired, 1u);
@@ -111,11 +118,11 @@ TEST_F(AsyncPhiEngineResilienceTest, DeadlineExpiresInQueueBeforeCompute)
 
 TEST_F(AsyncPhiEngineResilienceTest, GenerousDeadlineIsServedNormally)
 {
-    AsyncPhiEngine engine(model);
+    AsyncPhiEngine engine(registry);
     SubmitOptions opts;
     opts.deadline = Clock::now() + std::chrono::seconds(30);
     const BinaryMatrix acts = makeActs(4);
-    EXPECT_EQ(engine.submit(0, acts, opts).get().out, expected(acts));
+    EXPECT_EQ(engine.submit(handle, 0, acts, opts).get().out, expected(acts));
     const ServingStats s = engine.stats();
     EXPECT_EQ(s.expired, 0u);
     EXPECT_EQ(s.deadlineMiss.count(), 0u);
@@ -131,7 +138,7 @@ TEST_F(AsyncPhiEngineResilienceTest, HigherPriorityShedsLowestUnderReject)
     cfg.maxLingerMicros = 150'000;
     cfg.maxQueueDepth = 2;
     cfg.backpressure = AsyncEngineConfig::Backpressure::Reject;
-    AsyncPhiEngine engine(model, {}, cfg);
+    AsyncPhiEngine engine(registry, {}, cfg);
 
     SubmitOptions low;
     low.priority = 0;
@@ -140,10 +147,10 @@ TEST_F(AsyncPhiEngineResilienceTest, HigherPriorityShedsLowestUnderReject)
 
     const BinaryMatrix a0 = makeActs(10), a1 = makeActs(11),
                        a2 = makeActs(12), a3 = makeActs(13);
-    auto f0 = engine.submit(0, a0, low);
-    auto f1 = engine.submit(0, a1, low);  // queue now full
-    auto f2 = engine.submit(0, a2, high); // sheds f1 (newest low)
-    auto f3 = engine.submit(0, a3, low);  // no victim below it: reject
+    auto f0 = engine.submit(handle, 0, a0, low);
+    auto f1 = engine.submit(handle, 0, a1, low);  // queue now full
+    auto f2 = engine.submit(handle, 0, a2, high); // sheds f1 (newest low)
+    auto f3 = engine.submit(handle, 0, a3, low);  // no victim below it: reject
 
     try {
         f1.get();
@@ -174,14 +181,14 @@ TEST_F(AsyncPhiEngineResilienceTest, HigherPriorityShedsInsteadOfBlocking)
     cfg.maxBatch = 64;
     cfg.maxLingerMicros = 150'000;
     cfg.maxQueueDepth = 1;
-    AsyncPhiEngine engine(model, {}, cfg);
+    AsyncPhiEngine engine(registry, {}, cfg);
 
     SubmitOptions high;
     high.priority = 1;
 
     const BinaryMatrix a0 = makeActs(20), a1 = makeActs(21);
-    auto f0 = engine.submit(0, a0); // fills the queue at priority 0
-    auto f1 = engine.submit(0, a1, high);
+    auto f0 = engine.submit(handle, 0, a0); // fills the queue at priority 0
+    auto f1 = engine.submit(handle, 0, a1, high);
 
     EXPECT_THROW(f0.get(), EngineError);
     EXPECT_EQ(f1.get().out, expected(a1));
@@ -197,11 +204,11 @@ TEST_F(AsyncPhiEngineResilienceTest, EqualPrioritiesNeverShed)
     AsyncEngineConfig cfg;
     cfg.maxLingerMicros = 0;
     cfg.maxQueueDepth = 1;
-    AsyncPhiEngine engine(model, {}, cfg);
+    AsyncPhiEngine engine(registry, {}, cfg);
 
     const BinaryMatrix a0 = makeActs(30), a1 = makeActs(31);
-    auto f0 = engine.submit(0, a0);
-    auto f1 = engine.submit(0, a1);
+    auto f0 = engine.submit(handle, 0, a0);
+    auto f1 = engine.submit(handle, 0, a1);
     EXPECT_EQ(f0.get().out, expected(a0));
     EXPECT_EQ(f1.get().out, expected(a1));
     engine.drain();
@@ -220,18 +227,18 @@ TEST_F(AsyncPhiEngineResilienceTest, ShedRequestReleasesItsQueueWait)
     cfg.maxLingerMicros = 50'000;
     cfg.maxQueueDepth = 4;
     cfg.backpressure = AsyncEngineConfig::Backpressure::Reject;
-    AsyncPhiEngine engine(model, {}, cfg);
+    AsyncPhiEngine engine(registry, {}, cfg);
 
     std::vector<std::future<EngineResponse>> lows, highs;
     for (int i = 0; i < 8; ++i) {
         SubmitOptions low;
         low.priority = 0;
-        lows.push_back(engine.submit(0, makeActs(40 + i), low));
+        lows.push_back(engine.submit(handle, 0, makeActs(40 + i), low));
     }
     for (int i = 0; i < 4; ++i) {
         SubmitOptions high;
         high.priority = 9;
-        highs.push_back(engine.submit(0, makeActs(60 + i), high));
+        highs.push_back(engine.submit(handle, 0, makeActs(60 + i), high));
     }
 
     size_t lowServed = 0, lowFailed = 0;
@@ -272,11 +279,11 @@ TEST_F(AsyncPhiEngineResilienceTest, StatsSnapshotCarriesResilienceFields)
     cfg.maxLingerMicros = 100'000;
     cfg.maxQueueDepth = 1;
     cfg.backpressure = AsyncEngineConfig::Backpressure::Reject;
-    AsyncPhiEngine engine(model, {}, cfg);
+    AsyncPhiEngine engine(registry, {}, cfg);
 
     SubmitOptions expired;
     expired.deadline = Clock::now() - std::chrono::milliseconds(1);
-    auto f = engine.submit(0, makeActs(70), expired);
+    auto f = engine.submit(handle, 0, makeActs(70), expired);
     EXPECT_THROW(f.get(), EngineError);
     EXPECT_EQ(engine.stats().expired, 1u)
         << "expired must be visible before any dispatch";
