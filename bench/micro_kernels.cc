@@ -2,7 +2,8 @@
  * @file
  * google-benchmark micro-benchmarks of the performance-critical
  * kernels: k-means calibration, pattern assignment, decomposition,
- * matching, packing, the reconfigurable adder tree and the GEMM paths.
+ * matching, packing, the reconfigurable adder tree, the GEMM paths and
+ * one served layer end to end (BM_ServeLayer*).
  * These quantify the simulator's own throughput, not the modelled
  * hardware.
  *
@@ -20,6 +21,7 @@
 #include "bench/bench_util.hh"
 #include "common/rng.hh"
 #include "core/calibration.hh"
+#include "core/compiled_model.hh"
 #include "core/pwp.hh"
 #include "numeric/simd.hh"
 #include "snn/activation_gen.hh"
@@ -330,6 +332,110 @@ BM_PwpServeQuant8(benchmark::State& state)
         benchmark::Counter(static_cast<double>(arena.bytes()));
 }
 BENCHMARK(BM_PwpServeQuant8)->ArgsProduct({{1024}, {1}});
+
+/**
+ * One served layer at equal shapes across the three ways to compute
+ * it: the fused Phi serve kernel (matching included, warm match
+ * table), spikeGemm over the set bits, and a dense float GEMM. Each
+ * iteration allocates its output as the engine does per request.
+ * Arguments: rows m, bit density in percent, output width n.
+ */
+struct ServeLayerFixture
+{
+    BinaryMatrix acts;
+    Matrix<int16_t> w;
+
+    explicit ServeLayerFixture(const benchmark::State& state)
+        : w(256, static_cast<size_t>(state.range(2)))
+    {
+        // Calibration and traffic share the generator's prototypes;
+        // Level 2 noise scales with the bit density.
+        ClusterGenConfig gc;
+        gc.bitDensity = static_cast<double>(state.range(1)) / 100.0;
+        gc.l2DensityTarget = gc.bitDensity / 5.0;
+        ClusteredSpikeGenerator gen(gc, 256, 21);
+        Rng rng(22);
+        calib = gen.generate(1024, rng);
+        acts = gen.generate(static_cast<size_t>(state.range(0)), rng);
+        Rng wr(23);
+        for (size_t r = 0; r < w.rows(); ++r)
+            for (size_t c = 0; c < w.cols(); ++c)
+                w(r, c) = static_cast<int16_t>(wr.uniformInt(-40, 40));
+    }
+
+    CompiledLayer
+    compile() const
+    {
+        CalibrationConfig cfg;
+        cfg.k = 16;
+        cfg.q = 128;
+        PatternTable table = calibrateLayer(calib, cfg);
+        auto pwps = computeLayerPwps(table, w);
+        return CompiledLayer("bench", std::move(table), w,
+                             std::move(pwps));
+    }
+
+    BinaryMatrix calib;
+};
+
+void
+BM_ServeLayerPhi(benchmark::State& state)
+{
+    ServeLayerFixture fx(state);
+    const CompiledLayer layer = fx.compile();
+    ExecutionConfig exec;
+    exec.threads = 1;
+    Matrix<int32_t> warm =
+        Matrix<int32_t>::uninitialized(fx.acts.rows(), fx.w.cols());
+    layer.serveInto(warm, fx.acts, exec);
+    for (auto _ : state) {
+        Matrix<int32_t> out =
+            Matrix<int32_t>::uninitialized(fx.acts.rows(), fx.w.cols());
+        layer.serveInto(out, fx.acts, exec);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.counters["bit_density"] = fx.acts.density();
+}
+
+void
+BM_ServeLayerSpikeGemm(benchmark::State& state)
+{
+    ServeLayerFixture fx(state);
+    ExecutionConfig exec;
+    exec.threads = 1;
+    for (auto _ : state) {
+        Matrix<int32_t> out = spikeGemm(fx.acts, fx.w, exec);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.counters["bit_density"] = fx.acts.density();
+}
+
+void
+BM_ServeLayerDense(benchmark::State& state)
+{
+    ServeLayerFixture fx(state);
+    Matrix<float> a(fx.acts.rows(), fx.acts.cols());
+    for (size_t r = 0; r < a.rows(); ++r)
+        for (size_t c = 0; c < a.cols(); ++c)
+            a(r, c) = fx.acts.get(r, c) ? 1.0f : 0.0f;
+    Matrix<float> wf(fx.w.rows(), fx.w.cols());
+    for (size_t r = 0; r < wf.rows(); ++r)
+        for (size_t c = 0; c < wf.cols(); ++c)
+            wf(r, c) = static_cast<float>(fx.w(r, c));
+    ExecutionConfig exec;
+    exec.threads = 1;
+    for (auto _ : state) {
+        Matrix<float> out = denseGemm(a, wf, exec);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.counters["bit_density"] = fx.acts.density();
+}
+
+const std::vector<std::vector<int64_t>> kServeLayerArgs = {
+    {8, 1024}, {5, 12, 25}, {64, 256}};
+BENCHMARK(BM_ServeLayerPhi)->ArgsProduct(kServeLayerArgs);
+BENCHMARK(BM_ServeLayerSpikeGemm)->ArgsProduct(kServeLayerArgs);
+BENCHMARK(BM_ServeLayerDense)->ArgsProduct(kServeLayerArgs);
 
 } // namespace
 } // namespace phi

@@ -87,8 +87,8 @@ main()
               << (all_exact ? "YES (bit-exact)" : "NO (bug!)") << "\n\n";
 
     // 5. Report the hierarchical sparsity of one request (Table 4
-    //    style) by decomposing it again — decomposition is
-    //    deterministic, so this is exactly what the engine served.
+    //    style) by decomposing it offline — the engine's fused kernel
+    //    makes the same assignments, so this is exactly what it served.
     const CompiledLayer& served = pin->layer(0);
     SparsityBreakdown b =
         served.breakdown(requests[0], served.decompose(requests[0]));

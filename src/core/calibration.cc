@@ -16,6 +16,11 @@ calibrateLayer(const std::vector<const BinaryMatrix*>& samples,
         phi_assert(s->cols() == cols,
                    "calibration samples disagree on column count");
 
+    // Pattern ids are uint16_t with 0 reserved.
+    phi_assert(cfg.q >= 0 &&
+               static_cast<size_t>(cfg.q) <= kMaxPatternsPerPartition,
+               "q = ", cfg.q, " patterns per partition outside [0, ",
+               kMaxPatternsPerPartition, "]");
     const int k = cfg.k;
     const size_t partitions = ceilDiv(cols, static_cast<size_t>(k));
 

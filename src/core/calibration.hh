@@ -21,7 +21,8 @@ struct CalibrationConfig
 {
     /** Partition (row-tile) width in bits (paper: 16). */
     int k = 16;
-    /** Patterns per partition (paper: 128). */
+    /** Patterns per partition (paper: 128; at most
+     *  kMaxPatternsPerPartition). */
     int q = 128;
     /** Clustering parameters; numClusters is overwritten with q. */
     KMeansConfig kmeans;

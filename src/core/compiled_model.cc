@@ -24,12 +24,29 @@ CompiledLayer::CompiledLayer(std::string name, PatternTable table,
                pwps.size(), ", need ", patternTable.numPartitions(),
                ")");
     for (size_t p = 0; p < pwps.size(); ++p) {
+        phi_assert(patternTable.partition(p).size() <=
+                   kMaxPatternsPerPartition,
+                   "partition ", p, " holds ",
+                   patternTable.partition(p).size(),
+                   " patterns; ids cap it at ", kMaxPatternsPerPartition);
         phi_assert(pwps[p].rows() == patternTable.partition(p).size() &&
                    (pwps[p].rows() == 0 ||
                     pwps[p].cols() == weightMatrix.cols()),
                    "PWP shape mismatch in partition ", p);
     }
     arena = PwpArena(pwps, weightMatrix.cols(), quant);
+    // Also asserts that no pattern sets a bit past the last weight row.
+    matcher = std::make_shared<const MatchTable>(patternTable,
+                                                 weightMatrix.rows());
+}
+
+void
+CompiledLayer::serveInto(Matrix<int32_t>& out, const BinaryMatrix& acts,
+                         const ExecutionConfig& exec) const
+{
+    phi_assert(hasWeights(),
+               "serveInto() requires a layer compiled with weights");
+    phiServeInto(out, acts, *matcher, arena, weightMatrix, exec);
 }
 
 LayerDecomposition

@@ -7,14 +7,15 @@
  *
  * A CompiledModel is produced offline by Pipeline::compile() or loaded
  * from a .phim artifact via io::loadModel(); it is consumed by the
- * PhiEngine runtime or used directly through CompiledLayer's
- * decompose()/compute() for single-shot work.
+ * PhiEngine runtime, which serves through CompiledLayer::serveInto(),
+ * or used offline through decompose()/compute().
  */
 
 #ifndef PHI_CORE_COMPILED_MODEL_HH
 #define PHI_CORE_COMPILED_MODEL_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,8 +32,10 @@ namespace phi
 /**
  * One compiled layer: calibrated pattern table plus (optionally) bound
  * weights and their precomputed PWPs, stored as one contiguous
- * (optionally quantized) PwpArena. Immutable after construction, so
- * it is safe to share across serving threads without synchronisation.
+ * (optionally quantized) PwpArena, and the serve path's MatchTable.
+ * Immutable after construction apart from the match table's lazy
+ * fills, which are race-free by design, so it is safe to share across
+ * serving threads without synchronisation. Copies share the table.
  */
 class CompiledLayer
 {
@@ -47,6 +50,9 @@ class CompiledLayer
      * the narrowest PWP storage tier the layer may use; the arena
      * falls back to a wider tier whenever the narrow one would not be
      * exact, so serving results never depend on the request.
+     *
+     * Fatal if a partition holds more than kMaxPatternsPerPartition
+     * patterns or a pattern sets a bit past the last weight row.
      */
     CompiledLayer(std::string name, PatternTable table,
                   Matrix<int16_t> weights,
@@ -75,7 +81,18 @@ class CompiledLayer
     /** Storage tier the arena actually uses (after exactness fallback). */
     PwpTier pwpTier() const { return arena.tier(); }
 
-    /** Decompose a runtime activation matrix (online, stateless). */
+    /**
+     * The serve path: match and gather @p acts in one fused pass
+     * (phiServeInto) into a caller-owned acts.rows() x weights().cols()
+     * matrix whose previous contents are overwritten. Lets the serving
+     * runtime allocate responses before dispatching a batch, so worker
+     * threads never touch the allocator. Builds no decomposition.
+     */
+    void serveInto(Matrix<int32_t>& out, const BinaryMatrix& acts,
+                   const ExecutionConfig& exec = {}) const;
+
+    /** Decompose an activation matrix (offline: simulator, benches,
+     *  breakdown). */
     LayerDecomposition decompose(const BinaryMatrix& acts,
                                  const ExecutionConfig& exec = {}) const;
 
@@ -101,6 +118,7 @@ class CompiledLayer
     PatternTable patternTable;
     Matrix<int16_t> weightMatrix;
     PwpArena arena;
+    std::shared_ptr<const MatchTable> matcher;
 };
 
 /**

@@ -1,7 +1,11 @@
 #include "core/decompose.hh"
 
 #include <algorithm>
+#include <bit>
+#include <new>
 #include <unordered_map>
+
+#include <sys/mman.h>
 
 #include "numeric/simd.hh"
 
@@ -85,6 +89,104 @@ PatternAssigner::assign(uint64_t row) const
     return best;
 }
 
+namespace
+{
+
+constexpr uint32_t
+binomial(int n, int r)
+{
+    if (r < 0 || r > n)
+        return 0;
+    uint32_t c = 1;
+    for (int i = 1; i <= r; ++i)
+        c = c * static_cast<uint32_t>(n - r + i) / static_cast<uint32_t>(i);
+    return c;
+}
+
+} // namespace
+
+// Colex rank of a value whose set bits sit at positions p_0 < p_1 < ...
+// is sum_i C(p_i, i + 1); split per byte, the high byte's terms shift
+// by the number of bits set below it.
+constinit const MatchTable::RankTables MatchTable::kRank = [] {
+    RankTables t{};
+    for (int v = 0; v < 256; ++v) {
+        t.ones[v] = static_cast<uint8_t>(std::popcount(
+            static_cast<unsigned>(v)));
+        int i = 0;
+        for (int b = 0; b < 8; ++b)
+            if ((v >> b) & 1)
+                t.lo[v] = static_cast<uint16_t>(t.lo[v] +
+                                                binomial(b, ++i));
+        for (int below = 0; below <= 8; ++below) {
+            int j = below;
+            uint32_t r = 0;
+            for (int b = 0; b < 8; ++b)
+                if ((v >> b) & 1)
+                    r += binomial(8 + b, ++j);
+            t.hi[v][below] = static_cast<uint16_t>(r);
+        }
+    }
+    return t;
+}();
+
+MatchTable::MatchTable(const PatternTable& table, size_t kTotal)
+    : kBits(table.k()), cols(kTotal)
+{
+    const size_t k = static_cast<size_t>(kBits);
+    const size_t partitions = ceilDiv(kTotal, k);
+    phi_assert(table.numPartitions() >= partitions, "pattern table has ",
+               table.numPartitions(), " partitions, ", kTotal,
+               " columns need ", partitions);
+    bool fits = kBits <= kMaxTableK;
+    assigners.reserve(partitions);
+    for (size_t p = 0; p < partitions; ++p) {
+        const PatternSet& ps = table.partition(p);
+        // Only the final partition can be ragged; a pattern bit past
+        // the activation edge would name a column with no weight row.
+        const uint64_t inside = lowMask(
+            static_cast<int>(std::min(k, kTotal - p * k)));
+        for (uint64_t pat : ps.patterns())
+            phi_assert((pat & ~inside) == 0, "partition ", p,
+                       " pattern sets a bit past column ", kTotal);
+        fits = fits && ps.size() <= kMaxTablePatterns;
+        assigners.emplace_back(ps);
+    }
+    if (!fits || partitions == 0)
+        return;
+    for (const PatternAssigner& a : assigners)
+        patternBits.push_back(a.patternSet().patterns().data());
+    for (int c = 1; c <= kBits; ++c)
+        popBase[c] = popBase[c - 1] + binomial(kBits, c - 1);
+    // Anonymous memory arrives zeroed, i.e. every slot "unknown", and
+    // is only made resident page by page as fills write it. Huge pages
+    // would turn one fill into a 2 MiB resident block.
+    mappedBytes = partitions << kBits;
+    void* mem = ::mmap(nullptr, mappedBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED)
+        throw std::bad_alloc();
+#ifdef MADV_NOHUGEPAGE
+    ::madvise(mem, mappedBytes, MADV_NOHUGEPAGE);
+#endif
+    slots = static_cast<uint8_t*>(mem);
+}
+
+MatchTable::~MatchTable()
+{
+    if (slots != nullptr)
+        ::munmap(slots, mappedBytes);
+}
+
+uint16_t
+MatchTable::fill(std::atomic_ref<uint8_t> slot, size_t p,
+                 uint64_t bits) const
+{
+    const uint16_t id = assigners[p].assign(bits).patternId;
+    slot.store(static_cast<uint8_t>(id + 1), std::memory_order_relaxed);
+    return id;
+}
+
 TileDecomposition
 decomposeTile(const BinaryMatrix& acts, size_t partition,
               const PatternAssigner& assigner,
@@ -156,51 +258,7 @@ decomposeLayer(const BinaryMatrix& acts, const PatternTable& table,
         PatternAssigner assigner(table.partition(p), exec.isa);
         dec.tiles.push_back(decomposeTile(acts, p, assigner, exec));
     }
-    dec.buildRowIndex();
     return dec;
-}
-
-void
-buildRowIndexInto(const LayerDecomposition& dec,
-                  std::vector<uint16_t>& rowIds,
-                  std::vector<uint8_t>& rowCounts)
-{
-    const size_t numTiles = dec.tiles.size();
-    rowIds.assign(dec.m * numTiles, 0);
-    rowCounts.assign(dec.m * numTiles, 0);
-    // One sequential pass per tile; the strided writes transpose the
-    // tile-major arrays into the row-major index.
-    for (size_t t = 0; t < numTiles; ++t) {
-        const TileDecomposition& tile = dec.tiles[t];
-        phi_assert(tile.patternIds.size() == dec.m,
-                   "tile ", t, " holds ", tile.patternIds.size(),
-                   " rows, layer has ", dec.m);
-        for (size_t r = 0; r < dec.m; ++r) {
-            rowIds[r * numTiles + t] = tile.patternIds[r];
-            auto [lo, hi] = tile.rowRange(r);
-            phi_assert(hi - lo <= static_cast<uint32_t>(tile.k),
-                       "row ", r, " holds ", hi - lo,
-                       " L2 entries, more than partition width ",
-                       tile.k);
-            rowCounts[r * numTiles + t] =
-                static_cast<uint8_t>(hi - lo);
-        }
-    }
-}
-
-void
-LayerDecomposition::buildRowIndex()
-{
-    buildRowIndexInto(*this, rowPatternIds, rowL2Counts);
-    const size_t numTiles = tiles.size();
-    tileMaxPatternId.assign(numTiles, 0);
-    tileMaxL2Col.assign(numTiles, 0);
-    for (size_t t = 0; t < numTiles; ++t) {
-        for (uint16_t id : tiles[t].patternIds)
-            tileMaxPatternId[t] = std::max(tileMaxPatternId[t], id);
-        for (const L2Entry& e : tiles[t].l2Entries)
-            tileMaxL2Col[t] = std::max(tileMaxL2Col[t], e.col);
-    }
 }
 
 size_t

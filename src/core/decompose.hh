@@ -8,11 +8,16 @@
  * holds the raw +1 bits; otherwise Level 1 records the pattern id and
  * Level 2 holds the bidirectional {+1, -1} correction so that
  * L1 + L2 == activation exactly.
+ *
+ * The serve path never stores a decomposition: MatchTable caches the
+ * assigner's answers and the fused kernel (phiServeInto) gathers from
+ * them directly. LayerDecomposition is the offline representation.
  */
 
 #ifndef PHI_CORE_DECOMPOSE_HH
 #define PHI_CORE_DECOMPOSE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -79,6 +84,116 @@ class PatternAssigner
     const simd::Kernels* kr;
 };
 
+/**
+ * The serve path's matcher: per partition, a lazily filled table from
+ * a k-bit tile value to the pattern id PatternAssigner::assign picks
+ * for it, so a warm lookup is one byte load.
+ *
+ * A slot holds id + 1; 0 means "not matched yet". The table therefore
+ * needs no initialisation: it is taken zero-filled from one anonymous
+ * mapping, and pages that serving never writes stay non-resident. A
+ * slot's value depends only on (partition, bits), so racing fills store
+ * the same byte; relaxed std::atomic_ref accesses keep the race
+ * defined. Assignment is exact integer work on every backend, so the
+ * table does not depend on the ISA.
+ *
+ * Slots are ordered by popcount, then by colex rank among values of
+ * that popcount, rather than by value. Spike tiles are sparse, so the
+ * values traffic hits share a few pages per partition instead of
+ * touching all sixteen: fewer page faults on a cold table, less
+ * resident memory and fewer TLB misses on a warm one.
+ *
+ * Tables exist only while 2^k slots per partition stay small
+ * (k <= kMaxTableK) and every id + 1 fits a byte (q <= kMaxTablePatterns);
+ * otherwise each lookup calls assign inline.
+ *
+ * Construction checks what makes the fused serve kernel's gathers
+ * in-bounds: the table covers every partition of a kTotal-column
+ * activation, and no pattern sets a bit at or past column kTotal.
+ */
+class MatchTable
+{
+  public:
+    static constexpr int kMaxTableK = 16;
+    static constexpr size_t kMaxTablePatterns = 254;
+
+    /** Matcher for the partitions of @p table that a kTotal-column
+     *  activation spans. */
+    MatchTable(const PatternTable& table, size_t kTotal);
+    ~MatchTable();
+    MatchTable(const MatchTable&) = delete;
+    MatchTable& operator=(const MatchTable&) = delete;
+
+    int k() const { return kBits; }
+    size_t kTotal() const { return cols; }
+    size_t numPartitions() const { return assigners.size(); }
+
+    /** Patterns in partition p. */
+    size_t
+    numPatterns(size_t p) const
+    {
+        return assigners[p].patternSet().size();
+    }
+
+    /** True when lookups go through the table, not inline assign. */
+    bool tabled() const { return slots != nullptr; }
+
+    /** assigners[p].assign(bits) for a k-bit tile value. */
+    RowAssignment
+    assign(size_t p, uint64_t bits) const
+    {
+        if (slots == nullptr)
+            return assigners[p].assign(bits);
+        std::atomic_ref<uint8_t> slot(slots[(p << kBits) + slotOf(bits)]);
+        const uint8_t v = slot.load(std::memory_order_relaxed);
+        const uint16_t id =
+            v != 0 ? static_cast<uint16_t>(v - 1) : fill(slot, p, bits);
+        const uint64_t pat = id != 0 ? patternBits[p][id - 1] : 0;
+        RowAssignment a;
+        a.patternId = id;
+        a.posMask = bits & ~pat;
+        a.negMask = pat & ~bits;
+        return a;
+    }
+
+  private:
+    /** Per byte value v: its set-bit count, and the colex rank of its
+     *  set bits as bits 0-7 (lo[v]) or as bits 8-15 above s set lower
+     *  bits (hi[v][s]). */
+    struct RankTables
+    {
+        uint8_t ones[256];
+        uint16_t lo[256];
+        uint16_t hi[256][9];
+    };
+    static const RankTables kRank;
+
+    /** Slot of a k-bit value within its partition: values of lower
+     *  popcount first, colex order among equal popcounts. */
+    size_t
+    slotOf(uint64_t bits) const
+    {
+        const size_t lo = bits & 0xFF;
+        const size_t hi = (bits >> 8) & 0xFF;
+        const uint8_t below = kRank.ones[lo];
+        return popBase[below + kRank.ones[hi]] + kRank.lo[lo] +
+               kRank.hi[hi][below];
+    }
+
+    uint16_t fill(std::atomic_ref<uint8_t> slot, size_t p,
+                  uint64_t bits) const;
+
+    std::vector<PatternAssigner> assigners;
+    /** Each partition's pattern array, as assign() reads it. */
+    std::vector<const uint64_t*> patternBits;
+    /** First slot of each popcount: sum of C(k, j) for j < c. */
+    uint32_t popBase[kMaxTableK + 1] = {};
+    int kBits;
+    size_t cols;
+    uint8_t* slots = nullptr;
+    size_t mappedBytes = 0;
+};
+
 /** Decomposition of one (M x k) activation partition. */
 struct TileDecomposition
 {
@@ -113,54 +228,7 @@ struct LayerDecomposition
 
     std::vector<TileDecomposition> tiles;
 
-    /**
-     * Row-major serving index, derived from tiles by buildRowIndex():
-     * rowPatternIds[r * tiles.size() + t] mirrors
-     * tiles[t].patternIds[r], and rowL2Counts[r * tiles.size() + t]
-     * is the row's Level 2 entry count in tile t (counts fit uint8_t
-     * because a partition holds at most k <= 64 columns).
-     *
-     * The tile-major layout is what decomposition and serialization
-     * produce, but the phiGemm hot loop walks one output row across
-     * every tile — with tile-major storage that is tiles-many scattered
-     * loads per row; with this index it is one contiguous line. Not
-     * serialized: loaders rebuild it.
-     */
-    std::vector<uint16_t> rowPatternIds;
-    std::vector<uint8_t> rowL2Counts;
-
-    /**
-     * Per-tile maxima, cached by buildRowIndex(): the largest pattern
-     * id and Level 2 column each tile holds. The serving loops check
-     * these against the PWP storage and weight matrix once per call
-     * to prove every gather in-bounds; caching them here keeps that
-     * proof O(tiles) instead of a full O(m + nnz) rescan per batch.
-     */
-    std::vector<uint16_t> tileMaxPatternId;
-    std::vector<uint16_t> tileMaxL2Col;
-
     size_t numPartitions() const { return tiles.size(); }
-
-    /** True when the row-major index matches the tile data shape. */
-    bool
-    hasRowIndex() const
-    {
-        return !tiles.empty() &&
-               rowPatternIds.size() == m * tiles.size() &&
-               rowL2Counts.size() == m * tiles.size();
-    }
-
-    /** True when the per-tile maxima are cached for every tile. */
-    bool
-    hasTileMaxima() const
-    {
-        return !tiles.empty() &&
-               tileMaxPatternId.size() == tiles.size() &&
-               tileMaxL2Col.size() == tiles.size();
-    }
-
-    /** (Re)build the row-major serving index from the tiles. */
-    void buildRowIndex();
 
     /** Total Level 2 nonzeros across partitions. */
     size_t totalL2Nnz() const;
@@ -168,18 +236,6 @@ struct LayerDecomposition
     /** Total assigned (nonzero) pattern ids. */
     size_t totalAssigned() const;
 };
-
-/**
- * Fill row-major pattern-id/L2-count arrays from a decomposition's
- * tile-major data — the one transpose shared by
- * LayerDecomposition::buildRowIndex and phiGemm's fallback for
- * hand-assembled decompositions. Fatal if any row-tile holds more
- * than k Level 2 entries (legit rows have at most k distinct
- * correction columns; more would also overflow the uint8_t counts).
- */
-void buildRowIndexInto(const LayerDecomposition& dec,
-                       std::vector<uint16_t>& rowIds,
-                       std::vector<uint8_t>& rowCounts);
 
 /**
  * Decompose one partition of the activation matrix. Rows are swept in

@@ -19,6 +19,10 @@
 namespace phi
 {
 
+/** Most patterns one partition may hold: ids are uint16_t, and id 0
+ *  means "no pattern". */
+inline constexpr size_t kMaxPatternsPerPartition = 65535;
+
 /** The calibrated pattern set of a single (layer, partition). */
 class PatternSet
 {

@@ -1,6 +1,7 @@
 #include "core/pwp.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "numeric/simd.hh"
@@ -205,91 +206,62 @@ phiGemm(const LayerDecomposition& dec, const PatternTable& table,
 namespace
 {
 
-/**
- * Tier-generic body of phiGemmWithArenaInto. Per output row and column
- * block, the row's Level 2 corrections are gathered into signed
- * pointer batches, then one kernel call locates the Level 1 rows in the
- * contiguous arena by pattern id and reduces everything in registers.
- * Every output row is written exactly once, so results are
- * bit-identical at any tier and thread count (int32 accumulation is
- * exactly associative).
- */
 template <typename Elem>
-void
-serveArena(Matrix<int32_t>& out, const LayerDecomposition& dec,
-           const PwpArena& arena, const Matrix<int16_t>& weights,
-           const ExecutionConfig& exec,
-           void (*gather)(int32_t*, const Elem*, const uint64_t*,
+using GatherFn = void (*)(int32_t*, const Elem*, const uint64_t*,
                           const uint16_t*, size_t, size_t,
                           const int16_t* const*, size_t,
-                          const int16_t* const*, size_t, size_t))
+                          const int16_t* const*, size_t, size_t);
+
+/**
+ * The one gather loop of both serve paths. Slot t of a row covers
+ * arena partition parts[t], whose weight rows start at parts[t] * k;
+ * assignRow(r, row) fills row[t] with row r's RowAssignment in every
+ * slot. Per output row and column block, the Level 2 masks become
+ * signed weight-row pointer batches, then one kernel call locates the
+ * Level 1 rows in the contiguous arena by pattern id and reduces
+ * everything in registers.
+ * Every output row is written exactly once, so results are
+ * bit-identical at any tier and thread count (int32 accumulation is
+ * exactly associative). The caller proves every id and mask bit
+ * in-bounds.
+ */
+template <typename Elem, typename AssignFn>
+void
+gatherRows(Matrix<int32_t>& out, size_t m, const std::vector<size_t>& parts,
+           int k, const PwpArena& arena, const Matrix<int16_t>& weights,
+           const ExecutionConfig& exec, GatherFn<Elem> gather,
+           const AssignFn& assignRow)
 {
     const size_t n = weights.cols();
-    const size_t numTiles = dec.tiles.size();
+    const size_t numTiles = parts.size();
     const size_t tileN = exec.resolvedTileN(n);
     const size_t nPad = out.paddedCols();
-
-    std::vector<uint16_t> localIds;
-    std::vector<uint8_t> localCounts;
-    const uint16_t* rowIds = dec.rowPatternIds.data();
-    const uint8_t* rowCounts = dec.rowL2Counts.data();
-    if (!dec.hasRowIndex() && numTiles > 0) {
-        buildRowIndexInto(dec, localIds, localCounts);
-        rowIds = localIds.data();
-        rowCounts = localCounts.data();
-    }
-
-    // Per-tile tables hoisted out of the row loop: the tile's first
-    // arena row, its Level 2 entry stream and its first weight row.
-    // The per-tile maxima are checked once against the arena and the
-    // weights, proving every gather in the call in-bounds.
-    std::vector<uint64_t> tileRowBase(numTiles);
-    std::vector<const L2Entry*> l2Entries(numTiles);
-    std::vector<const uint32_t*> l2Offsets(numTiles);
-    std::vector<const int16_t*> wBase(numTiles);
     const size_t wStride = weights.stride();
-    const bool haveMaxima = dec.hasTileMaxima();
+    const int16_t* wData = weights.data();
+
+    // Per-slot first arena row and first weight-row offset.
+    std::vector<uint64_t> tileRowBase(numTiles);
+    std::vector<size_t> wOff(numTiles);
     for (size_t t = 0; t < numTiles; ++t) {
-        const TileDecomposition& tile = dec.tiles[t];
-        phi_assert(tile.partition < arena.numPartitions(),
-                   "tile partition ", tile.partition,
-                   " beyond arena partitions ", arena.numPartitions());
-        const size_t k_off =
-            tile.partition * static_cast<size_t>(dec.k);
-        uint16_t maxCol = haveMaxima ? dec.tileMaxL2Col[t] : 0;
-        uint16_t maxId = haveMaxima ? dec.tileMaxPatternId[t] : 0;
-        if (!haveMaxima) {
-            for (const L2Entry& e : tile.l2Entries)
-                maxCol = std::max(maxCol, e.col);
-            for (uint16_t id : tile.patternIds)
-                maxId = std::max(maxId, id);
-        }
-        phi_assert(tile.l2Entries.empty() ||
-                   k_off + maxCol < weights.rows(),
-                   "L2 column beyond weight rows");
-        phi_assert(maxId <= arena.rowsInPartition(tile.partition),
-                   "pattern id ", maxId, " beyond arena partition ",
-                   tile.partition, " with ",
-                   arena.rowsInPartition(tile.partition), " rows");
-        tileRowBase[t] = arena.rowBase()[tile.partition];
-        l2Entries[t] = tile.l2Entries.data();
-        l2Offsets[t] = tile.l2Offsets.empty() ? nullptr
-                                              : tile.l2Offsets.data();
-        wBase[t] = k_off < weights.rows() ? weights.rowPtr(k_off)
-                                          : nullptr;
+        tileRowBase[t] = arena.rowBase()[parts[t]];
+        wOff[t] = parts[t] * static_cast<size_t>(k) * wStride;
     }
 
     const Elem* arenaData = arena.data<Elem>();
     const size_t stride = arena.stride();
 
-    parallelFor(exec, 0, dec.m, kPhiGemmRowGrain,
-                [&](size_t r0, size_t r1) {
-        // One up-front reservation: a row holds at most k entries per
-        // tile, so the pointer batches never regrow mid-loop.
+    parallelFor(exec, 0, m, kPhiGemmRowGrain, [&](size_t r0, size_t r1) {
+        // A whole row is assigned before its pointers are built: the
+        // lookups then run back to back, which measured faster than
+        // interleaving them with the pointer batches. One up-front
+        // reservation: a row holds at most k corrections per slot, so
+        // the batches never regrow mid-loop.
+        std::vector<RowAssignment> row(numTiles);
+        std::vector<uint16_t> ids(numTiles);
         std::vector<const int16_t*> l2pos;
         std::vector<const int16_t*> l2neg;
-        l2pos.reserve(numTiles * static_cast<size_t>(dec.k));
-        l2neg.reserve(numTiles * static_cast<size_t>(dec.k));
+        l2pos.reserve(numTiles * static_cast<size_t>(k));
+        l2neg.reserve(numTiles * static_cast<size_t>(k));
 
         for (size_t n0 = 0; n0 < n; n0 += tileN) {
             const size_t n1 = std::min(n, n0 + tileN);
@@ -300,31 +272,49 @@ serveArena(Matrix<int32_t>& out, const LayerDecomposition& dec,
                 arena.empty() ? arenaData : arenaData + n0;
 
             for (size_t r = r0; r < r1; ++r) {
-                const uint16_t* ids = rowIds + r * numTiles;
-                const uint8_t* counts = rowCounts + r * numTiles;
+                assignRow(r, row.data());
                 l2pos.clear();
                 l2neg.clear();
                 for (size_t t = 0; t < numTiles; ++t) {
-                    const uint32_t cnt = counts[t];
-                    if (cnt == 0)
-                        continue;
-                    const L2Entry* e = l2Entries[t] + l2Offsets[t][r];
-                    for (uint32_t j = 0; j < cnt; ++j) {
-                        const int16_t* w =
-                            wBase[t] + e[j].col * wStride + n0;
-                        if (e[j].sign > 0)
-                            l2pos.push_back(w);
-                        else
-                            l2neg.push_back(w);
-                    }
+                    const RowAssignment& a = row[t];
+                    ids[t] = a.patternId;
+                    const int16_t* w = wData + wOff[t] + n0;
+                    for (uint64_t b = a.posMask; b != 0; b &= b - 1)
+                        l2pos.push_back(w + std::countr_zero(b) * wStride);
+                    for (uint64_t b = a.negMask; b != 0; b &= b - 1)
+                        l2neg.push_back(w + std::countr_zero(b) * wStride);
                 }
-                gather(out.rowPtr(r) + n0, arenaBlock,
-                       tileRowBase.data(), ids, numTiles, stride,
-                       l2pos.data(), l2pos.size(), l2neg.data(),
-                       l2neg.size(), span);
+                gather(out.rowPtr(r) + n0, arenaBlock, tileRowBase.data(),
+                       ids.data(), numTiles, stride, l2pos.data(),
+                       l2pos.size(), l2neg.data(), l2neg.size(), span);
             }
         }
     });
+}
+
+/** gatherRows on the kernel matching the arena's storage tier. */
+template <typename AssignFn>
+void
+gatherLayer(Matrix<int32_t>& out, size_t m,
+            const std::vector<size_t>& parts, int k,
+            const PwpArena& arena, const Matrix<int16_t>& weights,
+            const ExecutionConfig& exec, const AssignFn& assignRow)
+{
+    const simd::Kernels& kr = simd::kernels(exec.isa);
+    switch (arena.tier()) {
+    case PwpTier::Int32:
+        gatherRows<int32_t>(out, m, parts, k, arena, weights, exec,
+                            kr.pwpGatherI32, assignRow);
+        break;
+    case PwpTier::Int16:
+        gatherRows<int16_t>(out, m, parts, k, arena, weights, exec,
+                            kr.pwpGatherI16, assignRow);
+        break;
+    case PwpTier::Int8:
+        gatherRows<int8_t>(out, m, parts, k, arena, weights, exec,
+                           kr.pwpGatherI8, assignRow);
+        break;
+    }
 }
 
 } // namespace
@@ -345,21 +335,108 @@ phiGemmWithArenaInto(Matrix<int32_t>& out, const LayerDecomposition& dec,
                "output shape ", out.rows(), "x", out.cols(),
                " != expected ", dec.m, "x", weights.cols());
 
-    const simd::Kernels& kr = simd::kernels(exec.isa);
-    switch (arena.tier()) {
-    case PwpTier::Int32:
-        serveArena<int32_t>(out, dec, arena, weights, exec,
-                            kr.pwpGatherI32);
-        break;
-    case PwpTier::Int16:
-        serveArena<int16_t>(out, dec, arena, weights, exec,
-                            kr.pwpGatherI16);
-        break;
-    case PwpTier::Int8:
-        serveArena<int8_t>(out, dec, arena, weights, exec,
-                           kr.pwpGatherI8);
-        break;
+    // A decomposition is plain data, so prove it in-bounds here: every
+    // tile targets an arena partition inside the weights, every id a
+    // stored pattern; Level 2 columns are checked as rows are read.
+    const size_t numTiles = dec.tiles.size();
+    std::vector<size_t> parts(numTiles);
+    std::vector<uint32_t> colLimit(numTiles);
+    std::vector<const uint16_t*> ids(numTiles);
+    std::vector<const uint32_t*> offsets(numTiles);
+    std::vector<const L2Entry*> entries(numTiles);
+    for (size_t t = 0; t < numTiles; ++t) {
+        const TileDecomposition& tile = dec.tiles[t];
+        const size_t kOff = tile.partition * static_cast<size_t>(dec.k);
+        phi_assert(tile.partition < arena.numPartitions() &&
+                   kOff < weights.rows(),
+                   "tile partition ", tile.partition,
+                   " beyond arena partitions ", arena.numPartitions(),
+                   " or weight rows ", weights.rows());
+        phi_assert(tile.patternIds.size() == dec.m &&
+                   (dec.m == 0 || tile.l2Offsets.size() == dec.m + 1),
+                   "tile ", t, " does not hold ", dec.m, " rows");
+        const uint16_t maxId =
+            dec.m == 0 ? 0
+                       : *std::max_element(tile.patternIds.begin(),
+                                           tile.patternIds.end());
+        phi_assert(maxId <= arena.rowsInPartition(tile.partition),
+                   "pattern id ", maxId, " beyond arena partition ",
+                   tile.partition, " with ",
+                   arena.rowsInPartition(tile.partition), " rows");
+        parts[t] = tile.partition;
+        colLimit[t] = static_cast<uint32_t>(
+            std::min<size_t>(dec.k, weights.rows() - kOff));
+        ids[t] = tile.patternIds.data();
+        offsets[t] = tile.l2Offsets.data();
+        entries[t] = tile.l2Entries.data();
     }
+
+    gatherLayer(out, dec.m, parts, dec.k, arena, weights, exec,
+                [&](size_t r, RowAssignment* row) {
+        bool inBounds = true;
+        for (size_t t = 0; t < numTiles; ++t) {
+            uint64_t pos = 0;
+            uint64_t neg = 0;
+            for (uint32_t e = offsets[t][r]; e < offsets[t][r + 1]; ++e) {
+                const L2Entry& l2 = entries[t][e];
+                const uint64_t bit = uint64_t{1} << (l2.col & 63);
+                inBounds &= l2.col < colLimit[t] && ((pos | neg) & bit) == 0;
+                (l2.sign > 0 ? pos : neg) |= bit;
+            }
+            row[t] = RowAssignment{ids[t][r], pos, neg};
+        }
+        phi_assert(inBounds, "row ", r,
+                   " repeats an L2 column or names one past the weights");
+    });
+}
+
+void
+phiServeInto(Matrix<int32_t>& out, const BinaryMatrix& acts,
+             const MatchTable& matcher, const PwpArena& arena,
+             const Matrix<int16_t>& weights, const ExecutionConfig& exec)
+{
+    const size_t kTotal = acts.cols();
+    phi_assert(kTotal == weights.rows() && kTotal == matcher.kTotal(),
+               "activation K ", kTotal, " != weight rows ",
+               weights.rows(), " or matcher K ", matcher.kTotal());
+    phi_assert(out.rows() == acts.rows() && out.cols() == weights.cols(),
+               "output shape ", out.rows(), "x", out.cols(),
+               " != expected ", acts.rows(), "x", weights.cols());
+
+    // The matcher's construction proved every pattern bit inside the
+    // weights; ids stay inside the arena when each partition's arena
+    // rows are exactly its patterns.
+    const int k = matcher.k();
+    const size_t numTiles = matcher.numPartitions();
+    phi_assert(numTiles == 0 || arena.cols() == weights.cols(),
+               "arena width ", arena.cols(), " != weight cols ",
+               weights.cols());
+    std::vector<size_t> parts(numTiles);
+    std::vector<uint64_t> inside(numTiles);
+    for (size_t t = 0; t < numTiles; ++t) {
+        phi_assert(t < arena.numPartitions() &&
+                   arena.rowsInPartition(t) == matcher.numPatterns(t),
+                   "arena does not hold partition ", t, "'s patterns");
+        parts[t] = t;
+        inside[t] = lowMask(static_cast<int>(
+            std::min<size_t>(k, kTotal - t * static_cast<size_t>(k))));
+    }
+
+    const size_t wordsPerRow = acts.numWordsPerRow();
+    gatherLayer(out, acts.rows(), parts, k, arena, weights, exec,
+                [&](size_t r, RowAssignment* row) {
+        const uint64_t* words = acts.rowWords(r);
+        for (size_t t = 0; t < numTiles; ++t) {
+            // The k-bit tile at column t * k, clipped to the activation.
+            const size_t start = t * static_cast<size_t>(k);
+            const size_t w0 = start / 64;
+            const int off = static_cast<int>(start % 64);
+            uint64_t bits = words[w0] >> off;
+            if (off != 0 && w0 + 1 < wordsPerRow)
+                bits |= words[w0 + 1] << (64 - off);
+            row[t] = matcher.assign(t, bits & inside[t]);
+        }
+    });
 }
 
 Matrix<int32_t>

@@ -167,7 +167,7 @@ std::vector<Matrix<int32_t>> computeLayerPwps(
  * (Level 1) and apply signed weight-row corrections (Level 2), reducing
  * over partitions. Must equal spikeGemm(acts, weights) exactly.
  *
- * The reference form of the one serve path: it computes the layer's
+ * The reference form of the offline path: it computes the layer's
  * PWPs, packs them into an int32 PwpArena and serves through
  * phiGemmWithArena.
  */
@@ -179,20 +179,32 @@ Matrix<int32_t> phiGemm(const LayerDecomposition& dec,
 /**
  * Serve a decomposition from PWPs precomputed into a contiguous
  * PwpArena (any tier), writing into a caller-owned output matrix of
- * shape dec.m x weights.cols(). Rows are swept in parallel in natural
- * order; each row's Level 1 rows are gathered straight out of the
- * arena by pattern id (quantized arenas widen in-register) and its
- * Level 2 corrections are added or subtracted in the same kernel
- * pass. Every row (padding included) is overwritten, so the prior
- * contents don't matter — the serving runtime pre-allocates responses
- * outside its batch loop. Bit-identical to spikeGemm at every tier
- * and thread count.
+ * shape dec.m x weights.cols(). The offline form of the one gather
+ * loop: each row's Level 1 ids and Level 2 corrections are read from
+ * the decomposition's tiles, and the rows are swept in parallel in
+ * natural order. Every row (padding included) is overwritten, so the
+ * prior contents don't matter. Bit-identical to spikeGemm at every
+ * tier and thread count.
  */
 void phiGemmWithArenaInto(Matrix<int32_t>& out,
                           const LayerDecomposition& dec,
                           const PwpArena& arena,
                           const Matrix<int16_t>& weights,
                           const ExecutionConfig& exec = {});
+
+/**
+ * The fused serve kernel: match and gather in one pass over row
+ * chunks, building no LayerDecomposition. Each (row, partition) takes
+ * its RowAssignment from @p matcher, whose pattern bits are gathered
+ * straight into the same loop phiGemmWithArenaInto runs. @p arena must
+ * hold exactly the matcher's patterns per partition (PWPs of the same
+ * pattern table); the output is overwritten and bit-identical to
+ * spikeGemm(acts, weights).
+ */
+void phiServeInto(Matrix<int32_t>& out, const BinaryMatrix& acts,
+                  const MatchTable& matcher, const PwpArena& arena,
+                  const Matrix<int16_t>& weights,
+                  const ExecutionConfig& exec = {});
 
 /** Allocating wrapper over phiGemmWithArenaInto. */
 Matrix<int32_t> phiGemmWithArena(const LayerDecomposition& dec,

@@ -469,8 +469,7 @@ readDecomposition(ByteReader& r)
             if (t.l2Offsets.back() != entries)
                 throw IoError("CSR terminator does not match entry count");
             // A row-tile has at most k distinct correction columns; a
-            // larger count means duplicate columns, and it would also
-            // overflow the uint8_t row-major count index.
+            // larger count means duplicate columns.
             for (uint64_t j = 1; j < offs; ++j)
                 if (t.l2Offsets[j] - t.l2Offsets[j - 1] >
                     static_cast<uint32_t>(t.k))
@@ -498,10 +497,6 @@ readDecomposition(ByteReader& r)
         }
         d.tiles.push_back(std::move(t));
     }
-    // The row-major serving index is derived, not serialized; rebuild
-    // it so loaded decompositions serve as fast as freshly computed
-    // ones.
-    d.buildRowIndex();
     return d;
 }
 
@@ -600,6 +595,12 @@ readPatternTable(ByteReader& r)
     sets.reserve(static_cast<size_t>(parts));
     for (uint64_t p = 0; p < parts; ++p) {
         const uint64_t n = r.count(8);
+        // Pattern ids are uint16_t with 0 reserved: a larger set would
+        // wrap ids and serve the wrong pattern's PWP row.
+        if (n > kMaxPatternsPerPartition)
+            throw IoError("partition " + std::to_string(p) + " holds " +
+                          std::to_string(n) + " patterns, more than " +
+                          std::to_string(kMaxPatternsPerPartition));
         std::vector<uint64_t> pats;
         pats.reserve(static_cast<size_t>(n));
         for (uint64_t i = 0; i < n; ++i)
@@ -867,6 +868,20 @@ parseModel(const uint8_t* data, size_t size, ArtifactMeta* metaOut)
                 throw IoError("layer '" + name +
                               "': PWP shape mismatch in partition " +
                               std::to_string(p));
+        // The serve kernel gathers weight row p * k + b for every set
+        // bit b of a matched pattern, so a pattern in the ragged final
+        // partition must not reach past the last weight row.
+        const size_t k = static_cast<size_t>(table.k());
+        for (size_t p = 0; p * k < weights.rows(); ++p) {
+            const uint64_t inside = lowMask(
+                static_cast<int>(std::min(k, weights.rows() - p * k)));
+            for (uint64_t pat : table.partition(p).patterns())
+                if ((pat & ~inside) != 0)
+                    throw IoError("layer '" + name + "': partition " +
+                                  std::to_string(p) +
+                                  " pattern sets a bit past weight row " +
+                                  std::to_string(weights.rows()));
+        }
         // Re-quantize from the exact int32 payload at the claimed
         // tier. The arena only ever falls back *wider* than the
         // request, so ending up off-tier proves the PWP values cannot

@@ -113,9 +113,7 @@ PhiEngine::serve(std::span<const EngineRequest> batch)
             const auto reqStart = Clock::now();
             const EngineRequest& req = batch[i];
             const CompiledLayer& l = req.pin->layer(req.layer);
-            EngineResponse& resp = responses[i];
-            l.computeInto(resp.out, l.decompose(*req.acts, exec),
-                          exec);
+            l.serveInto(responses[i].out, *req.acts, exec);
             latencyScratch[i] = secondsSince(reqStart);
         }
     });

@@ -1,7 +1,7 @@
 /**
  * @file
- * The online serving runtime: a PhiEngine routes decompose+compute
- * requests through a ModelRegistry, so one engine serves any number
+ * The online serving runtime: a PhiEngine routes layer requests
+ * (CompiledLayer::serveInto) through a ModelRegistry, so one engine serves any number
  * of named, versioned CompiledModels and survives hot-swaps of any
  * of them.
  *
@@ -115,8 +115,9 @@ class PhiEngine
      * UnknownModel, a null acts NullActivation, anything else
      * validate()'s code — and a rejected batch leaves the engine
      * untouched and serviceable. Deterministic: response i is
-     * bit-identical to layer.compute(layer.decompose(acts_i)) run
-     * stand-alone against the pinned version, at any thread count.
+     * bit-identical to layer.serveInto(out, acts_i) — and to the
+     * offline layer.compute(layer.decompose(acts_i)) — run stand-alone
+     * against the pinned version, at any thread count.
      */
     std::vector<EngineResponse> serve(std::span<const EngineRequest> batch);
 

@@ -306,6 +306,48 @@ TEST(ModelIo, RejectsTraceWithCorruptDecomposition)
     }
 }
 
+TEST(ModelIo, RejectsPartitionWithMorePatternsThanIdsAddress)
+{
+    // Pattern ids are uint16_t with 0 meaning "none": a 65536th
+    // pattern's id would wrap to 0, so the exact match (the last
+    // pattern here) would serve as "no pattern" and a wrong product.
+    std::vector<uint64_t> pats(65536);
+    for (size_t i = 0; i < pats.size(); ++i)
+        pats[i] = (i + 1) & 0xFFFF;
+    PatternTable table(16, {PatternSet(16, pats)});
+    const Matrix<int16_t> w = test::randomWeights(16, 1, 7);
+    const std::vector<uint8_t> image = test::rawModelImage(
+        "wide", table, w, computeLayerPwps(table, w));
+    EXPECT_THROW(io::parseModel(image.data(), image.size()),
+                 io::IoError);
+}
+
+TEST(ModelIo, RejectsPatternBitsPastTheLastWeightRow)
+{
+    // K = 20, k = 16: partition 1 covers weight rows 16..19, so
+    // pattern 0x800F's bit 15 names row 31, which does not exist.
+    const Matrix<int16_t> w = test::randomWeights(20, 8, 9);
+    PatternTable bad(16, {PatternSet(16, {0x00FF}),
+                          PatternSet(16, {0x800F})});
+    const std::vector<uint8_t> image =
+        test::rawModelImage("ragged", bad, w, computeLayerPwps(bad, w));
+    EXPECT_THROW(io::parseModel(image.data(), image.size()),
+                 io::IoError);
+
+    // The same layout with the pattern inside the edge loads and
+    // serves exactly.
+    PatternTable good(16, {PatternSet(16, {0x00FF}),
+                           PatternSet(16, {0x000F})});
+    const std::vector<uint8_t> fine = test::rawModelImage(
+        "ragged", good, w, computeLayerPwps(good, w));
+    const CompiledModel model = io::parseModel(fine.data(), fine.size());
+    Rng rng(10);
+    const BinaryMatrix acts = BinaryMatrix::random(9, 20, 0.4, rng);
+    Matrix<int32_t> out(9, 8);
+    model.layer(0).serveInto(out, acts);
+    EXPECT_EQ(out, spikeGemm(acts, w));
+}
+
 TEST(ModelIo, LoadMissingFileThrows)
 {
     EXPECT_THROW(io::loadModel("/nonexistent/phi_no_such_model.phim"),

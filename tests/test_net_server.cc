@@ -266,6 +266,52 @@ TEST_F(PhiServerTest, CorruptArtifactSwapRejectsWhileServingOverWire)
                 spikeGemm(acts, weights));
 }
 
+TEST_F(PhiServerTest, PatternPastTheWeightEdgeIsRefusedAndServingGoesOn)
+{
+    auto server = startServer();
+    PhiClient client("127.0.0.1", server->port());
+
+    // K = 20 with k = 16: the ragged partition 1 covers weight rows
+    // 16..19, but pattern 0x800F's bit 15 names row 31. Such an
+    // artifact must be refused at load, not abort the server on the
+    // first request that matches the pattern.
+    PatternTable table(16, {PatternSet(16, {0x00FF}),
+                            PatternSet(16, {0x800F})});
+    const Matrix<int16_t> w = test::randomWeights(20, 8, 9);
+    const std::vector<uint8_t> image =
+        test::rawModelImage("l0", table, w, computeLayerPwps(table, w));
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("phi_net_edge_" + std::to_string(::getpid()) + ".phim"))
+            .string();
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(image.data()),
+                  static_cast<std::streamsize>(image.size()));
+    }
+    EXPECT_THROW(registry->swapFromFile("m", path), io::IoError);
+    std::filesystem::remove(path);
+    ASSERT_EQ(registry->current("m")->version, 1u);
+
+    // The request that would have matched 0x800F gets a typed answer
+    // from the model still serving, and serving goes on bit-exact.
+    WireRequest req;
+    req.model = "m";
+    req.acts = BinaryMatrix(2, 20);
+    req.acts.deposit(0, 16, 4, 0xF);
+    try {
+        client.request(req);
+        FAIL() << "a 20-column request was served by a 96-column model";
+    } catch (const EngineError& e) {
+        EXPECT_EQ(e.code(), EngineError::Code::ShapeMismatch);
+    }
+    for (uint64_t seed = 40; seed < 43; ++seed) {
+        const BinaryMatrix acts = makeActs(7, seed);
+        EXPECT_TRUE(client.request("m", 0, acts).out ==
+                    spikeGemm(acts, weights));
+    }
+}
+
 // ---- protocol hardening over live sockets ---------------------------
 
 TEST_F(PhiServerTest, MalformedFrameGetsTypedErrorAndKeepsPoolAlive)
