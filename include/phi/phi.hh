@@ -82,7 +82,7 @@
 #include "core/stats.hh"
 
 // .phim artifacts: saveModel/loadModel (+ ArtifactMeta stamps),
-// traces, IoError.
+// IoError.
 #include "io/model_io.hh"
 
 // Serving runtime: registry-routed engines, handles, hot-swap.

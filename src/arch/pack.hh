@@ -67,7 +67,8 @@ struct Pack
     }
 };
 
-/** A compressed Level 2 row produced by the Compressor. */
+/** One row-tile's Level 2 correction entries, as the packer takes
+ *  them: the decomposition's L2 entries for that row and partition. */
 struct CompressedRow
 {
     uint32_t rowId = 0;

@@ -1,7 +1,7 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used to stamp
- * and verify .phim section payloads.
+ * and verify artifact section payloads (io/container.hh).
  *
  * Chosen over stronger hashes deliberately: artifact integrity here
  * defends against bit rot, truncation and torn writes — not an

@@ -36,7 +36,6 @@ enum class EngineErrorCode
     MissingWeights,  // target layer was compiled without weights
     ShapeMismatch,   // activation K != weight rows of the target layer
     NullActivation,  // serve() handed a request with null activations
-    PendingRequests, // no longer raised; wire value 105 stays reserved
     QueueFull,       // async queue at capacity under the Reject policy,
                      // or a queued request was shed to admit a
                      // higher-priority one
@@ -63,7 +62,6 @@ engineErrorCodeName(EngineErrorCode code)
     case EngineErrorCode::MissingWeights: return "MissingWeights";
     case EngineErrorCode::ShapeMismatch: return "ShapeMismatch";
     case EngineErrorCode::NullActivation: return "NullActivation";
-    case EngineErrorCode::PendingRequests: return "PendingRequests";
     case EngineErrorCode::QueueFull: return "QueueFull";
     case EngineErrorCode::Stopped: return "Stopped";
     case EngineErrorCode::UnknownModel: return "UnknownModel";

@@ -1,48 +1,30 @@
 /**
  * @file
  * The .phim artifact format: versioned, endian-stable serialization of
- * compiled models and model traces.
+ * compiled models, the handoff from the offline compiler to the
+ * serving processes.
  *
- * Layout (all little-endian):
- *
- *   offset 0   u32  magic           "PHIM" (0x4D494850)
- *              u32  format version  (currently 1)
- *              u32  file kind       (1 = compiled model, 2 = trace)
- *              u32  section count
- *              u64  total file size (redundant; catches truncation)
- *   then       section table: per section
- *              u32  tag (fourcc)    u32 payload CRC-32 (0 = unstamped)
- *              u64  payload offset  u64 payload size
- *   then       the section payloads.
- *
- * The CRC field occupies what was a zeroed reserved slot, so the
- * format version did not move: writers now stamp every section's
- * IEEE CRC-32 (a true CRC of 0 is stored as 0xFFFFFFFF), readers
- * verify stamped sections before interpreting a single payload byte
- * and reject mismatches with an IoError naming the section (and,
- * through loadModel/loadTrace, the file) — while a zero field means
- * "pre-CRC artifact, nothing to verify" and loads exactly as before.
- *
- * A compiled model carries sections 'CFG ' (calibration provenance),
- * 'LYRS' (tables + weights + PWPs per layer) and — when the artifact
- * was stamped — an optional 'META' section (model name + version, the
- * identity a ModelRegistry serves it under); a trace carries 'TRAC'.
- * Models whose layers use a quantized PWP storage tier additionally
- * carry a 'LAYT' section (one tier byte per layer); it is written only
- * when some layer is narrower than int32, so unquantized artifacts are
- * byte-identical to pre-LAYT ones, and absence means "all int32" so
- * old artifacts keep loading. PWP payloads in 'LYRS' always store the
- * exact int32 values regardless of tier — the loader re-quantizes and
- * rejects artifacts whose claimed tier the values cannot reach.
- * Unknown sections are ignored on read, so the format can grow without
- * breaking old readers (a pre-META file still loads, it is just
- * anonymous); a bumped version field rejects incompatible layouts
- * outright.
+ * A .phim file is the shared artifact container (io/container.hh:
+ * header, CRC-stamped section table, payloads) under magic "PHIM",
+ * format version 1 and kind 1 (compiled model). Its sections are
+ * 'CFG ' (calibration provenance), 'LYRS' (tables + weights + PWPs per
+ * layer) and — when the artifact was stamped — an optional 'META'
+ * section (model name + version, the identity a ModelRegistry serves
+ * it under). Models whose layers use a quantized PWP storage tier
+ * additionally carry a 'LAYT' section (one tier byte per layer); it is
+ * written only when some layer is narrower than int32, so unquantized
+ * artifacts are byte-identical to pre-LAYT ones, and absence means
+ * "all int32" so old artifacts keep loading. PWP payloads in 'LYRS'
+ * always store the exact int32 values regardless of tier — the loader
+ * re-quantizes and rejects artifacts whose claimed tier the values
+ * cannot reach. Pre-CRC files (zeroed checksum fields) and pre-META
+ * files load unchanged; the latter are just anonymous.
  *
  * Readers never trust the input: every count is bounds-checked against
  * the remaining payload and every structural inconsistency (PWP shape
  * vs. table, weights vs. partitions) throws io::IoError instead of
- * constructing a broken model.
+ * constructing a broken model; through loadModel() the error also
+ * names the file.
  */
 
 #ifndef PHI_IO_MODEL_IO_HH
@@ -54,7 +36,6 @@
 
 #include "core/compiled_model.hh"
 #include "io/serialize.hh"
-#include "snn/trace.hh"
 
 namespace phi::io
 {
@@ -64,12 +45,10 @@ constexpr uint32_t kMagic = 0x4D494850u;
 constexpr uint32_t kFormatVersion = 1;
 
 constexpr uint32_t kKindModel = 1;
-constexpr uint32_t kKindTrace = 2;
 
 /** Section tags (fourcc, little-endian). */
 constexpr uint32_t kSectionConfig = 0x20474643u; // "CFG "
 constexpr uint32_t kSectionLayers = 0x5352594Cu; // "LYRS"
-constexpr uint32_t kSectionTrace = 0x43415254u;  // "TRAC"
 constexpr uint32_t kSectionMeta = 0x4154454Du;   // "META"
 constexpr uint32_t kSectionLayout = 0x5459414Cu; // "LAYT"
 
@@ -99,9 +78,6 @@ PatternTable readPatternTable(ByteReader& r);
 
 void writeCalibrationConfig(ByteWriter& w, const CalibrationConfig& cfg);
 CalibrationConfig readCalibrationConfig(ByteReader& r);
-
-void writeBinaryMatrix(ByteWriter& w, const BinaryMatrix& m);
-BinaryMatrix readBinaryMatrix(ByteReader& r);
 
 void writeWeights(ByteWriter& w, const Matrix<int16_t>& m);
 Matrix<int16_t> readWeights(ByteReader& r);
@@ -143,12 +119,6 @@ void saveModel(const CompiledModel& model, const std::string& path,
  */
 CompiledModel loadModel(const std::string& path,
                         ArtifactMeta* metaOut = nullptr);
-
-/** Trace artifacts share the container format under kind 2. */
-std::vector<uint8_t> serializeTrace(const ModelTrace& trace);
-ModelTrace parseTrace(const uint8_t* data, size_t size);
-void saveTrace(const ModelTrace& trace, const std::string& path);
-ModelTrace loadTrace(const std::string& path);
 
 } // namespace phi::io
 

@@ -127,16 +127,6 @@ class ByteWriter
     size_t size() const { return buf.size(); }
     const std::vector<uint8_t>& buffer() const { return buf; }
 
-    /** Overwrite a previously written u64 (for back-patching offsets). */
-    void
-    patchU64(size_t pos, uint64_t v)
-    {
-        if (pos + 8 > buf.size())
-            throw IoError("patch past end of buffer");
-        for (int i = 0; i < 8; ++i)
-            buf[pos + i] = static_cast<uint8_t>(v >> (8 * i));
-    }
-
   private:
     std::vector<uint8_t> buf;
 };
@@ -150,16 +140,7 @@ class ByteReader
     {
     }
 
-    size_t offset() const { return pos; }
     size_t remaining() const { return len - pos; }
-
-    void
-    seek(size_t to)
-    {
-        if (to > len)
-            throw IoError("seek past end of artifact");
-        pos = to;
-    }
 
     uint8_t
     u8()

@@ -1,12 +1,8 @@
 #include "io/session_io.hh"
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <unistd.h>
 
-#include "common/crc32.hh"
-#include "common/failpoint.hh"
+#include "io/container.hh"
 
 namespace phi::io
 {
@@ -14,121 +10,9 @@ namespace phi::io
 namespace
 {
 
-// ---- Container plumbing ---------------------------------------------
-// Same layout discipline as model_io.cc's .phim assembler: header,
-// CRC-stamped section table, payloads. Duplicated rather than shared
-// because the helpers are deliberately private to each artifact
-// family — the formats may diverge (e.g. delta-encoded state) without
-// coupling their readers.
-
-constexpr size_t kHeaderBytes = 4 + 4 + 4 + 4 + 8;
-constexpr size_t kSectionEntryBytes = 4 + 4 + 8 + 8;
-
-/** 0 in the CRC field means "unstamped"; a payload whose true CRC is
- *  0 is stamped 0xFFFFFFFF (accepted by crcMatches on the way in). */
-uint32_t
-stampCrc(uint32_t crc)
-{
-    return crc == 0 ? 0xFFFFFFFFu : crc;
-}
-
-bool
-crcMatches(uint32_t stored, uint32_t computed)
-{
-    return stored == computed || stored == stampCrc(computed);
-}
-
-struct Section
-{
-    uint32_t tag;
-    std::vector<uint8_t> payload;
-};
-
-std::vector<uint8_t>
-assemble(uint32_t kind, const std::vector<Section>& sections)
-{
-    ByteWriter w;
-    w.u32(kSessionMagic);
-    w.u32(kSessionFormatVersion);
-    w.u32(kind);
-    w.u32(static_cast<uint32_t>(sections.size()));
-
-    size_t total = kHeaderBytes + sections.size() * kSectionEntryBytes;
-    size_t offset = total;
-    for (const auto& s : sections)
-        total += s.payload.size();
-    w.u64(total);
-
-    for (const auto& s : sections) {
-        w.u32(s.tag);
-        w.u32(stampCrc(crc32(s.payload.data(), s.payload.size())));
-        w.u64(offset);
-        w.u64(s.payload.size());
-        offset += s.payload.size();
-    }
-    std::vector<uint8_t> out = w.buffer();
-    out.reserve(total);
-    for (const auto& s : sections)
-        out.insert(out.end(), s.payload.begin(), s.payload.end());
-    return out;
-}
-
-struct SectionView
-{
-    uint32_t tag;
-    const uint8_t* data;
-    size_t size;
-};
-
-std::vector<SectionView>
-parseContainer(const uint8_t* data, size_t size)
-{
-    if (data == nullptr || size < kHeaderBytes)
-        throw IoError("file too small to hold a .phis header");
-    ByteReader r(data, size);
-    if (r.u32() != kSessionMagic)
-        throw IoError("bad magic: not a .phis session snapshot");
-    const uint32_t version = r.u32();
-    if (version != kSessionFormatVersion)
-        throw IoError("unsupported session format version " +
-                      std::to_string(version) + " (reader supports " +
-                      std::to_string(kSessionFormatVersion) + ")");
-    const uint32_t kind = r.u32();
-    if (kind != kKindSessions)
-        throw IoError("artifact kind " + std::to_string(kind) +
-                      " is not a session snapshot");
-    const uint32_t count = r.u32();
-    const uint64_t declared = r.u64();
-    if (declared != size)
-        throw IoError("declared size " + std::to_string(declared) +
-                      " != actual size " + std::to_string(size) +
-                      " (truncated or padded snapshot)");
-    if (count > (size - kHeaderBytes) / kSectionEntryBytes)
-        throw IoError("section table larger than the snapshot");
-
-    std::vector<SectionView> sections;
-    sections.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-        const uint32_t tag = r.u32();
-        const uint32_t storedCrc = r.u32();
-        const uint64_t off = r.u64();
-        const uint64_t len = r.u64();
-        if (off > size || len > size - off)
-            throw IoError("section " + std::to_string(i) +
-                          " extends past the end of the snapshot");
-        if (storedCrc != 0) {
-            const uint32_t computed =
-                crc32(data + off, static_cast<size_t>(len));
-            if (!crcMatches(storedCrc, computed))
-                throw IoError("session section CRC mismatch (stored " +
-                              std::to_string(storedCrc) + ", computed " +
-                              std::to_string(computed) +
-                              "): corrupt snapshot");
-        }
-        sections.push_back({tag, data + off, static_cast<size_t>(len)});
-    }
-    return sections;
-}
+constexpr ContainerFormat kSessionFormat{
+    kSessionMagic, kSessionFormatVersion, kKindSessions,
+    ".phis session snapshot"};
 
 // ---- Record codecs --------------------------------------------------
 
@@ -229,56 +113,6 @@ readRecord(ByteReader& r)
     return rec;
 }
 
-std::vector<uint8_t>
-readFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in)
-        throw IoError(path, IoError("cannot open for reading"));
-    PHI_FAILPOINT(failpoint::sites::kIoRead,
-                  throw IoError(path, IoError("injected read failure "
-                                              "(failpoint 'io.read')")));
-    const std::streamsize size = in.tellg();
-    in.seekg(0);
-    std::vector<uint8_t> bytes(static_cast<size_t>(size));
-    if (size > 0 &&
-        !in.read(reinterpret_cast<char*>(bytes.data()), size))
-        throw IoError(path, IoError("read failed"));
-    return bytes;
-}
-
-void
-writeFileAtomic(const std::string& path,
-                const std::vector<uint8_t>& bytes)
-{
-    // Write-then-rename, per-process temp name, temp unlinked on any
-    // failure — same publication discipline as .phim artifacts.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    try {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            throw IoError(path, IoError("cannot open temp file '" + tmp +
-                                        "' for writing"));
-        PHI_FAILPOINT(
-            failpoint::sites::kIoWrite,
-            throw IoError(path, IoError("injected mid-write failure "
-                                        "(failpoint 'io.write')")));
-        out.write(reinterpret_cast<const char*>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out)
-            throw IoError(path,
-                          IoError("write to '" + tmp + "' failed"));
-        out.close();
-        if (std::rename(tmp.c_str(), path.c_str()) != 0)
-            throw IoError(path,
-                          IoError("rename from '" + tmp + "' failed"));
-    } catch (...) {
-        std::remove(tmp.c_str());
-        throw;
-    }
-}
-
 } // namespace
 
 std::vector<uint8_t>
@@ -289,22 +123,17 @@ serializeSessions(const SessionSnapshot& snap)
     w.u64(snap.sessions.size());
     for (const auto& rec : snap.sessions)
         writeRecord(w, rec);
-    return assemble(kKindSessions,
-                    {{kSectionSessions, w.buffer()}});
+    return assembleContainer(kSessionFormat,
+                             {{kSectionSessions, w.buffer()}});
 }
 
 SessionSnapshot
 parseSessions(const uint8_t* data, size_t size)
 {
-    const auto sections = parseContainer(data, size);
-    const SectionView* sess = nullptr;
-    for (const auto& s : sections)
-        if (s.tag == kSectionSessions)
-            sess = &s;
-    if (sess == nullptr)
-        throw IoError("missing required section 'SESS'");
+    const auto sections = parseContainer(kSessionFormat, data, size);
+    const SectionView& sess = findSection(sections, kSectionSessions);
 
-    ByteReader r(sess->data, sess->size);
+    ByteReader r(sess.data, sess.size);
     SessionSnapshot snap;
     snap.nextSessionId = r.u64();
     const uint64_t count = r.count(/*elemBytes=*/8 + 4 + 8 + 8 + 8);
@@ -332,9 +161,7 @@ loadSessions(const std::string& path)
     try {
         return parseSessions(bytes.data(), bytes.size());
     } catch (const IoError& e) {
-        if (e.path().empty())
-            throw IoError(path, e);
-        throw;
+        rethrowWithPath(path, e);
     }
 }
 

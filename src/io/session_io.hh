@@ -4,20 +4,12 @@
  * state, so open sessions survive a restart and can migrate between
  * serving processes.
  *
- * The container follows the `.phim` conventions exactly — a magic +
- * version + kind header, a section table whose entries carry a
- * CRC-32 of their payload, bounds-checked ByteReader parsing, and
- * atomic write-then-rename publication — so the operational story
- * (corrupt file = clean typed rejection, never a crash or a torn
- * artifact) is the same for both artifact families:
- *
- *     +-----------------------------------------------+
- *     | magic "PHIS" | version | kind | nsect | total |
- *     +-----------------------------------------------+
- *     | per section: tag, crc32, offset, length       |
- *     +-----------------------------------------------+
- *     | SESS payload: session records                 |
- *     +-----------------------------------------------+
+ * A `.phis` file is the shared artifact container (io/container.hh:
+ * header, CRC-stamped section table, payloads, atomic write-then-rename
+ * publication) under magic "PHIS", format version 1 and kind 1, with
+ * one 'SESS' section of session records. Both artifact families share
+ * that code, so a corrupt or truncated snapshot gets the same clean
+ * typed rejection as a corrupt model, never a crash or a torn file.
  *
  * Each session record carries everything SessionManager needs to
  * resume the stream exactly where it stopped: the registry model

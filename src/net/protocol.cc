@@ -25,7 +25,6 @@ wireErrorCodeName(WireErrorCode code)
     case WireErrorCode::MissingWeights: return "MissingWeights";
     case WireErrorCode::ShapeMismatch: return "ShapeMismatch";
     case WireErrorCode::NullActivation: return "NullActivation";
-    case WireErrorCode::PendingRequests: return "PendingRequests";
     case WireErrorCode::QueueFull: return "QueueFull";
     case WireErrorCode::Stopped: return "Stopped";
     case WireErrorCode::UnknownModel: return "UnknownModel";
@@ -54,8 +53,6 @@ wireCode(EngineErrorCode code)
         return WireErrorCode::ShapeMismatch;
     case EngineErrorCode::NullActivation:
         return WireErrorCode::NullActivation;
-    case EngineErrorCode::PendingRequests:
-        return WireErrorCode::PendingRequests;
     case EngineErrorCode::QueueFull: return WireErrorCode::QueueFull;
     case EngineErrorCode::Stopped: return WireErrorCode::Stopped;
     case EngineErrorCode::UnknownModel:
@@ -89,8 +86,6 @@ engineCodeOf(WireErrorCode code)
         return EngineErrorCode::ShapeMismatch;
     case WireErrorCode::NullActivation:
         return EngineErrorCode::NullActivation;
-    case WireErrorCode::PendingRequests:
-        return EngineErrorCode::PendingRequests;
     case WireErrorCode::QueueFull: return EngineErrorCode::QueueFull;
     case WireErrorCode::Stopped: return EngineErrorCode::Stopped;
     case WireErrorCode::UnknownModel:

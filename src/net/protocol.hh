@@ -111,7 +111,8 @@ enum class WireErrorCode : uint16_t
     MissingWeights = 102,
     ShapeMismatch = 103,
     NullActivation = 104,
-    PendingRequests = 105,
+    // 105 is reserved (the retired PendingRequests): never reuse it.
+    // A peer's 105 has no engine inverse and surfaces as NetError.
     QueueFull = 106,
     Stopped = 107,
     UnknownModel = 108,

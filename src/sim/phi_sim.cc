@@ -77,13 +77,13 @@ PhiSimulator::runLayer(const LayerTrace& layer) const
         static_cast<double>(l1_cycles_one_pass) * n_tiles;
 
     // ------------------------------------------------------------------
-    // L2 processor: run the real compressor + packer per m-tile over
-    // the K-first partition order; the pack stream repeats per n-tile.
+    // L2 processor: per m-tile, feed each row-tile's L2 entries from
+    // the decomposition to the packer as a CompressedRow, in K-first
+    // partition order; the pack stream repeats per n-tile.
     // ------------------------------------------------------------------
     uint64_t packs_total = 0;
     uint64_t pack_units_total = 0;
     uint64_t psum_units_total = 0;
-    PackerStats packer_stats;
     for (size_t mt = 0; mt < m_tiles; ++mt) {
         const size_t row_lo = mt * cfg.tileM;
         const size_t row_hi = std::min(m, row_lo + cfg.tileM);
@@ -117,10 +117,8 @@ PhiSimulator::runLayer(const LayerTrace& layer) const
             }
         }
         packer.flush();
-        packer_stats = packer.stats(); // keep last tile's cumulative
         packs_total += packs_tile;
     }
-    (void)packer_stats;
     const double l2_cycles =
         static_cast<double>(packs_total) * n_tiles;
 

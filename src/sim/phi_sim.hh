@@ -4,11 +4,12 @@
  *
  * The simulator walks the Table-1 tiling schedule (m=256, k=16, n=32,
  * K-first) over a model trace, running the real Preprocessor pipeline
- * (matcher assignments are taken from the trace's decomposition, which
- * the matcher model reproduces exactly; the compressor and multi-window
- * packer run for real on every row) and deriving L1/L2/neuron/DRAM
- * cycles, traffic, and energy per layer. L1 and L2 run concurrently and
- * synchronise per output tile; preprocessing and DRAM overlap compute.
+ * (matcher assignments and L2 entries are taken from the trace's
+ * decomposition, which the matcher model reproduces exactly; the
+ * multi-window packer runs for real on every row) and deriving
+ * L1/L2/neuron/DRAM cycles, traffic, and energy per layer. L1 and L2
+ * run concurrently and synchronise per output tile; preprocessing and
+ * DRAM overlap compute.
  */
 
 #ifndef PHI_SIM_PHI_SIM_HH

@@ -230,7 +230,6 @@ TEST(EngineErrorCodes, EveryEnumeratorHasAName)
         {EngineErrorCode::MissingWeights, "MissingWeights"},
         {EngineErrorCode::ShapeMismatch, "ShapeMismatch"},
         {EngineErrorCode::NullActivation, "NullActivation"},
-        {EngineErrorCode::PendingRequests, "PendingRequests"},
         {EngineErrorCode::QueueFull, "QueueFull"},
         {EngineErrorCode::Stopped, "Stopped"},
         {EngineErrorCode::UnknownModel, "UnknownModel"},

@@ -1,9 +1,11 @@
 /**
  * @file
  * Serialization tests: .phim round trips preserve every component
- * (tables, weights, PWPs, config, traces) exactly, and malformed
- * artifacts — bad magic, bad version, truncations at any byte, lying
- * section tables — are rejected with io::IoError, never a crash.
+ * (tables, weights, PWPs, config) exactly, and malformed artifacts —
+ * bad magic, bad version, truncations at any boundary, lying section
+ * tables — are rejected with io::IoError, never a crash. The container
+ * cases are the shared ones in artifact_cases.hh, which the .phis
+ * tests run too.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +15,12 @@
 #include <fstream>
 #include <unistd.h>
 
+#include "artifact_cases.hh"
 #include "common/rng.hh"
 #include "core/pipeline.hh"
-#include "test_support.hh"
 #include "io/model_io.hh"
-#include "snn/trace.hh"
+#include "io/session_io.hh"
+#include "test_support.hh"
 
 namespace phi
 {
@@ -146,55 +149,96 @@ TEST(ModelIo, LoadedModelComputesIdenticallyToOriginal)
 
 TEST(ModelIo, RejectsBadMagic)
 {
-    std::vector<uint8_t> bytes = io::serializeModel(makeCompiledModel());
-    bytes[0] ^= 0xFF;
-    EXPECT_THROW(io::parseModel(bytes.data(), bytes.size()), io::IoError);
+    test::expectRejectsBadMagic(io::serializeModel(makeCompiledModel()),
+                                test::parseModelImage);
 }
 
 TEST(ModelIo, RejectsUnsupportedVersion)
 {
-    std::vector<uint8_t> bytes = io::serializeModel(makeCompiledModel());
-    bytes[4] = 99; // version field, little-endian low byte
-    EXPECT_THROW(io::parseModel(bytes.data(), bytes.size()), io::IoError);
+    test::expectRejectsUnsupportedVersion(
+        io::serializeModel(makeCompiledModel()), test::parseModelImage);
 }
 
 TEST(ModelIo, RejectsWrongKind)
 {
-    // A trace artifact is not a model artifact.
-    ModelSpec spec = makeModel(ModelId::VGG16, DatasetId::CIFAR100);
-    spec.layers = {{"conv", 64, 48, 8, 1}};
-    TraceOptions opt;
-    opt.calib.q = 8;
-    opt.calib.kmeans.maxIters = 4;
+    // Kind 2 was the retired trace container; no .phim reader accepts
+    // it, nor any other kind but the model's.
     const std::vector<uint8_t> bytes =
-        io::serializeTrace(buildModelTrace(spec, opt));
-    EXPECT_THROW(io::parseModel(bytes.data(), bytes.size()), io::IoError);
+        io::serializeModel(makeCompiledModel());
+    test::expectRejectsKind(bytes, test::parseModelImage, 2);
+    test::expectRejectsKind(bytes, test::parseModelImage, 0);
 }
 
 TEST(ModelIo, RejectsTruncationAtEveryBoundary)
 {
-    const std::vector<uint8_t> bytes =
-        io::serializeModel(makeCompiledModel());
     // Every prefix must reject cleanly: the declared-size check catches
     // all of them, and the bounds-checked reader backstops it.
-    const size_t cuts[] = {0, 1, 7, 8, 15, 23, 24, 40,
-                           bytes.size() / 2, bytes.size() - 1};
-    for (size_t cut : cuts) {
-        ASSERT_LT(cut, bytes.size());
-        EXPECT_THROW(io::parseModel(bytes.data(), cut), io::IoError)
-            << "prefix of " << cut << " bytes";
-    }
+    test::expectRejectsTruncationAtEveryBoundary(
+        io::serializeModel(makeCompiledModel()), test::parseModelImage);
 }
 
 TEST(ModelIo, RejectsLyingSectionTable)
 {
-    std::vector<uint8_t> bytes = io::serializeModel(makeCompiledModel());
-    // First section entry starts at byte 24; its offset field is at
-    // +8. Point it past the end of the file.
-    const size_t offsetField = 24 + 8;
-    for (int i = 0; i < 8; ++i)
-        bytes[offsetField + i] = 0xFF;
-    EXPECT_THROW(io::parseModel(bytes.data(), bytes.size()), io::IoError);
+    test::expectRejectsLyingSectionTable(
+        io::serializeModel(makeCompiledModel()), test::parseModelImage);
+}
+
+TEST(ModelIo, ArtifactFamiliesRejectEachOthersImages)
+{
+    // Both families share the container, so only the header identity
+    // keeps a .phis image out of the .phim reader and vice versa.
+    io::SessionSnapshot snap;
+    io::SessionStateRecord rec;
+    rec.id = 1;
+    rec.model = "m";
+    rec.layerParams = {LifParams{}};
+    rec.layerState.push_back({{0.5f}, {0}});
+    snap.nextSessionId = 2;
+    snap.sessions.push_back(rec);
+    const std::vector<uint8_t> phis = io::serializeSessions(snap);
+    EXPECT_THROW(io::parseModel(phis.data(), phis.size()), io::IoError);
+
+    const std::vector<uint8_t> phim =
+        io::serializeModel(makeCompiledModel());
+    EXPECT_THROW(io::parseSessions(phim.data(), phim.size()),
+                 io::IoError);
+}
+
+TEST(ModelIo, ContainerLayoutIsPinnedByLiteralBytes)
+{
+    // A one-layer weightless model with every CFG field set explicitly,
+    // so the header and the first table entry (CFG 's CRC included)
+    // depend on the format alone. A layout change that stays
+    // self-consistent still fails here.
+    CalibrationConfig cfg;
+    cfg.k = 16;
+    cfg.q = 1;
+    cfg.maxRowsPerPartition = 64;
+    cfg.kmeans.numClusters = 1;
+    cfg.kmeans.maxIters = 2;
+    cfg.kmeans.seed = 3;
+    cfg.kmeans.init = KMeansConfig::Init::Random;
+    cfg.kmeans.maxDistinct = 0;
+    std::vector<CompiledLayer> layers;
+    layers.emplace_back("l", PatternTable(16, {PatternSet(16, {0x00FF})}));
+    const std::vector<uint8_t> bytes =
+        io::serializeModel(CompiledModel(std::move(layers), cfg));
+
+    const std::vector<uint8_t> expected = {
+        0x50, 0x48, 0x49, 0x4D,                         // "PHIM"
+        0x01, 0x00, 0x00, 0x00,                         // version 1
+        0x01, 0x00, 0x00, 0x00,                         // kind 1: model
+        0x02, 0x00, 0x00, 0x00,                         // 2 sections
+        0x9E, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 158 bytes
+        0x43, 0x46, 0x47, 0x20,                         // "CFG "
+        0x92, 0x81, 0xB0, 0xA7,                         // CRC-32
+        0x48, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // offset 72
+        0x2C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 44 bytes
+    };
+    ASSERT_EQ(bytes.size(), 158u);
+    EXPECT_EQ(std::vector<uint8_t>(bytes.begin(),
+                                   bytes.begin() + expected.size()),
+              expected);
 }
 
 TEST(ModelIo, RejectsCorruptPatternWidth)
@@ -218,92 +262,6 @@ TEST(ModelIo, RejectsOversizedElementCounts)
     std::vector<uint8_t> bytes = w.buffer();
     io::ByteReader r(bytes.data(), bytes.size());
     EXPECT_THROW(io::readWeights(r), io::IoError);
-}
-
-TEST(ModelIo, RejectsTraceWithCorruptDecomposition)
-{
-    // Structural lies that survive the byte-level checks must still be
-    // rejected: consumers index pattern ids and CSR offsets unchecked.
-    ModelSpec spec = makeModel(ModelId::VGG16, DatasetId::CIFAR100);
-    spec.layers = {{"conv", 64, 48, 8, 1}};
-    TraceOptions opt;
-    opt.calib.q = 8;
-    opt.calib.kmeans.maxIters = 4;
-    const ModelTrace good = buildModelTrace(spec, opt);
-    ASSERT_FALSE(good.layers[0].dec.tiles.empty());
-
-    {
-        ModelTrace bad = good;
-        bad.layers[0].dec.tiles[0].patternIds[0] = 999; // > q patterns
-        const auto bytes = io::serializeTrace(bad);
-        EXPECT_THROW(io::parseTrace(bytes.data(), bytes.size()),
-                     io::IoError);
-    }
-    {
-        ModelTrace bad = good;
-        bad.layers[0].dec.tiles[0].partition = 77; // no such partition
-        const auto bytes = io::serializeTrace(bad);
-        EXPECT_THROW(io::parseTrace(bytes.data(), bytes.size()),
-                     io::IoError);
-    }
-    {
-        ModelTrace bad = good;
-        auto& offs = bad.layers[0].dec.tiles[0].l2Offsets;
-        if (offs.size() > 2)
-            offs[1] = offs.back() + 100; // non-monotone interior offset
-        const auto bytes = io::serializeTrace(bad);
-        EXPECT_THROW(io::parseTrace(bytes.data(), bytes.size()),
-                     io::IoError);
-    }
-    {
-        // A pattern width smuggled past [1,64] would let L2 columns
-        // index out of bounds downstream.
-        ModelTrace bad = good;
-        bad.layers[0].dec.k = 1000;
-        for (auto& tile : bad.layers[0].dec.tiles)
-            tile.k = 1000;
-        const auto bytes = io::serializeTrace(bad);
-        EXPECT_THROW(io::parseTrace(bytes.data(), bytes.size()),
-                     io::IoError);
-    }
-    {
-        // Width mismatch vs. the table must reject even when the
-        // decomposition is internally consistent (k=24 covers the same
-        // 3 tiles, but the table was calibrated at k=16).
-        ModelTrace bad = good;
-        bad.layers[0].dec.k = 24;
-        bad.layers[0].dec.kTotal = 72;
-        for (auto& tile : bad.layers[0].dec.tiles)
-            tile.k = 24;
-        const auto bytes = io::serializeTrace(bad);
-        EXPECT_THROW(io::parseTrace(bytes.data(), bytes.size()),
-                     io::IoError);
-    }
-    {
-        // kTotal inflated to force a huge reconstruction allocation.
-        ModelTrace bad = good;
-        bad.layers[0].dec.kTotal = size_t{1} << 60;
-        const auto bytes = io::serializeTrace(bad);
-        EXPECT_THROW(io::parseTrace(bytes.data(), bytes.size()),
-                     io::IoError);
-    }
-    {
-        // More L2 entries in one row than the partition has columns
-        // (duplicate columns pass the per-entry checks, but would
-        // overflow the uint8_t row-major count index downstream).
-        ModelTrace bad = good;
-        auto& tile = bad.layers[0].dec.tiles[0];
-        const uint32_t extra =
-            static_cast<uint32_t>(tile.k) + 1;
-        tile.l2Entries.clear();
-        for (uint32_t i = 0; i < extra; ++i)
-            tile.l2Entries.push_back({0, int8_t{1}});
-        tile.l2Offsets.assign(tile.patternIds.size() + 1, extra);
-        tile.l2Offsets[0] = 0;
-        const auto bytes = io::serializeTrace(bad);
-        EXPECT_THROW(io::parseTrace(bytes.data(), bytes.size()),
-                     io::IoError);
-    }
 }
 
 TEST(ModelIo, RejectsPartitionWithMorePatternsThanIdsAddress)
@@ -352,6 +310,21 @@ TEST(ModelIo, LoadMissingFileThrows)
 {
     EXPECT_THROW(io::loadModel("/nonexistent/phi_no_such_model.phim"),
                  io::IoError);
+}
+
+TEST(ModelIo, LoadingADirectoryIsAnIoErrorNamingIt)
+{
+    // A directory opens for reading but has no size; both families'
+    // loaders must reject it typed instead of trying to allocate
+    // 2^64 bytes.
+    const std::string dir = ::testing::TempDir();
+    try {
+        io::loadModel(dir);
+        FAIL() << "directory loaded as a model";
+    } catch (const io::IoError& e) {
+        EXPECT_EQ(e.path(), dir);
+    }
+    EXPECT_THROW(io::loadSessions(dir), io::IoError);
 }
 
 TEST(ModelIo, MetaSectionRoundTripsAndStaysOptional)
@@ -461,110 +434,10 @@ TEST(ModelIo, ComponentRoundTrips)
     EXPECT_EQ(r.remaining(), 0u);
 }
 
-TEST(ModelIo, BinaryMatrixRoundTripIncludingRaggedTail)
-{
-    Rng rng(31);
-    for (size_t cols : {1u, 63u, 64u, 65u, 130u}) {
-        BinaryMatrix m = BinaryMatrix::random(17, cols, 0.3, rng);
-        io::ByteWriter w;
-        io::writeBinaryMatrix(w, m);
-        io::ByteReader r(w.buffer().data(), w.buffer().size());
-        BinaryMatrix back = io::readBinaryMatrix(r);
-        EXPECT_TRUE(back == m) << "cols=" << cols;
-        EXPECT_TRUE(back.tailBitsClear());
-    }
-}
-
-TEST(ModelIo, TraceRoundTripPreservesLayers)
-{
-    ModelSpec spec = makeModel(ModelId::VGG16, DatasetId::CIFAR100);
-    spec.layers = {{"conv", 128, 96, 16, 2}};
-    TraceOptions opt;
-    opt.calib.q = 16;
-    opt.calib.kmeans.maxIters = 6;
-    opt.withWeights = true;
-    const ModelTrace trace = buildModelTrace(spec, opt);
-
-    TempFile f("trace");
-    io::saveTrace(trace, f.path);
-    const ModelTrace back = io::loadTrace(f.path);
-
-    ASSERT_EQ(back.layers.size(), trace.layers.size());
-    EXPECT_EQ(back.spec.model, trace.spec.model);
-    EXPECT_EQ(back.spec.dataset, trace.spec.dataset);
-    EXPECT_EQ(back.spec.timesteps, trace.spec.timesteps);
-    ASSERT_EQ(back.spec.layers.size(), trace.spec.layers.size());
-    EXPECT_EQ(back.spec.layers[0].name, trace.spec.layers[0].name);
-    EXPECT_EQ(back.spec.layers[0].count, trace.spec.layers[0].count);
-    EXPECT_DOUBLE_EQ(back.spec.profile.bitDensity,
-                     trace.spec.profile.bitDensity);
-
-    for (size_t l = 0; l < trace.layers.size(); ++l) {
-        const LayerTrace& a = trace.layers[l];
-        const LayerTrace& b = back.layers[l];
-        EXPECT_TRUE(a.acts == b.acts);
-        expectTablesEqual(a.table, b.table);
-        EXPECT_EQ(a.weights, b.weights);
-        ASSERT_EQ(a.dec.tiles.size(), b.dec.tiles.size());
-        for (size_t t = 0; t < a.dec.tiles.size(); ++t) {
-            EXPECT_EQ(a.dec.tiles[t].patternIds, b.dec.tiles[t].patternIds);
-            EXPECT_EQ(a.dec.tiles[t].l2Offsets, b.dec.tiles[t].l2Offsets);
-            EXPECT_EQ(a.dec.tiles[t].l2Nnz(), b.dec.tiles[t].l2Nnz());
-        }
-        EXPECT_EQ(a.stats.bitOnes, b.stats.bitOnes);
-        EXPECT_EQ(a.stats.l2Pos, b.stats.l2Pos);
-        EXPECT_DOUBLE_EQ(a.stats.bitDensity, b.stats.bitDensity);
-        EXPECT_EQ(a.paftStats.elements, b.paftStats.elements);
-        // The reconstructed trace must still satisfy the losslessness
-        // invariant end to end.
-        EXPECT_TRUE(reconstructActivations(b.dec, b.table) == b.acts);
-    }
-    EXPECT_EQ(back.aggregate().bitOnes, trace.aggregate().bitOnes);
-}
-
 // ---- Section CRC integrity ----
 
-/** One decoded section-table entry (header is 24 bytes, entries 24
- *  bytes each: tag u32, crc u32, payload offset u64, size u64). */
-struct SectionEntry
-{
-    size_t entryOffset; // byte offset of this entry in the image
-    uint32_t tag;
-    uint32_t crc;
-    uint64_t payloadOffset;
-    uint64_t payloadSize;
-
-    std::string tagName() const
-    {
-        std::string s;
-        for (int i = 0; i < 4; ++i)
-            s.push_back(static_cast<char>((tag >> (8 * i)) & 0xFFu));
-        return s;
-    }
-};
-
-std::vector<SectionEntry>
-readSectionTable(const std::vector<uint8_t>& bytes)
-{
-    auto u32 = [&](size_t at) {
-        return static_cast<uint32_t>(bytes[at]) |
-               static_cast<uint32_t>(bytes[at + 1]) << 8 |
-               static_cast<uint32_t>(bytes[at + 2]) << 16 |
-               static_cast<uint32_t>(bytes[at + 3]) << 24;
-    };
-    auto u64 = [&](size_t at) {
-        return static_cast<uint64_t>(u32(at)) |
-               static_cast<uint64_t>(u32(at + 4)) << 32;
-    };
-    const uint32_t count = u32(12);
-    std::vector<SectionEntry> entries;
-    for (uint32_t i = 0; i < count; ++i) {
-        const size_t at = 24 + i * 24u;
-        entries.push_back({at, u32(at), u32(at + 4), u64(at + 8),
-                           u64(at + 16)});
-    }
-    return entries;
-}
+using test::readSectionTable;
+using test::SectionEntry;
 
 TEST(ModelIoCrc, EverySectionIsStampedWithItsPayloadCrc)
 {
@@ -592,26 +465,14 @@ TEST(ModelIoCrc, FlippedByteInAnySectionIsRejectedNamingTheSection)
     meta.version = 7;
     const std::vector<uint8_t> pristine = io::serializeModel(model, meta);
 
+    test::expectCrcFlipNamesTheSection(pristine, test::parseModelImage);
+
+    // The file path joins the message through loadModel.
     TempFile f("crc_flip");
     for (const SectionEntry& e : readSectionTable(pristine)) {
         SCOPED_TRACE("section " + e.tagName());
-        ASSERT_GT(e.payloadSize, 0u);
         std::vector<uint8_t> corrupt = pristine;
         corrupt[e.payloadOffset + e.payloadSize / 2] ^= 0x01;
-
-        // In-memory parse rejects it...
-        try {
-            io::parseModel(corrupt.data(), corrupt.size());
-            FAIL() << "corrupt section parsed";
-        } catch (const io::IoError& err) {
-            EXPECT_NE(std::string(err.what()).find(e.tagName()),
-                      std::string::npos)
-                << "error does not name the section: " << err.what();
-            EXPECT_NE(std::string(err.what()).find("CRC"),
-                      std::string::npos);
-        }
-
-        // ...and the file path joins the message through loadModel.
         {
             std::ofstream out(f.path, std::ios::binary | std::ios::trunc);
             out.write(reinterpret_cast<const char*>(corrupt.data()),

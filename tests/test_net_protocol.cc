@@ -106,12 +106,12 @@ TEST(NetProtocol, EveryEngineCodeHasAUniqueWireImageAndInverse)
     const EngineErrorCode all[] = {
         EngineErrorCode::EmptyModel,      EngineErrorCode::InvalidLayer,
         EngineErrorCode::MissingWeights,  EngineErrorCode::ShapeMismatch,
-        EngineErrorCode::NullActivation,  EngineErrorCode::PendingRequests,
-        EngineErrorCode::QueueFull,       EngineErrorCode::Stopped,
-        EngineErrorCode::UnknownModel,    EngineErrorCode::ModelExists,
-        EngineErrorCode::ModelBusy,       EngineErrorCode::DeadlineExceeded,
-        EngineErrorCode::Internal,        EngineErrorCode::SessionNotFound,
-        EngineErrorCode::SessionExpired,  EngineErrorCode::TooManySessions,
+        EngineErrorCode::NullActivation,  EngineErrorCode::QueueFull,
+        EngineErrorCode::Stopped,         EngineErrorCode::UnknownModel,
+        EngineErrorCode::ModelExists,     EngineErrorCode::ModelBusy,
+        EngineErrorCode::DeadlineExceeded, EngineErrorCode::Internal,
+        EngineErrorCode::SessionNotFound, EngineErrorCode::SessionExpired,
+        EngineErrorCode::TooManySessions,
     };
     std::vector<WireErrorCode> images;
     for (EngineErrorCode c : all) {

@@ -28,7 +28,10 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "common/rng.hh"
@@ -930,6 +933,76 @@ TEST_F(PhiServerTest, ServerLifecycleLeaksNoFds)
         server->stop();
     }
     EXPECT_EQ(openFdCount(), fdsBefore);
+}
+
+TEST(PhiClient, ReservedEngineCode105SurfacesAsNetError)
+{
+    // Wire code 105 was PendingRequests and stays reserved. A peer that
+    // still sends it must reach the client as a transport-band
+    // NetError carrying 105, not as an EngineError. The peer is a bare
+    // loopback socket that answers any request with that error frame.
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t addrLen = sizeof(addr);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    // Bounds the peer's accept() and recv(), so a client that never
+    // connects cannot hang the join below.
+    const timeval bound{5, 0};
+    ASSERT_EQ(::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &bound,
+                           sizeof(bound)),
+              0);
+    ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                            &addrLen),
+              0);
+
+    std::thread peer([listener] {
+        const int conn = ::accept(listener, nullptr, nullptr);
+        if (conn < 0)
+            return;
+        const timeval connBound{5, 0};
+        ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &connBound,
+                     sizeof(connBound));
+        // Swallow the request frame before answering it.
+        std::vector<uint8_t> in;
+        uint8_t buf[4096];
+        while (in.size() < kFrameHeaderBytes ||
+               in.size() < kFrameHeaderBytes +
+                               io::ByteReader(in.data() + 8, 4).u32()) {
+            const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
+            if (n <= 0)
+                break;
+            in.insert(in.end(), buf, buf + n);
+        }
+        const std::vector<uint8_t> frame = encodeErrorFrame(
+            1, static_cast<WireErrorCode>(105), "retired code");
+        (void)::send(conn, frame.data(), frame.size(), MSG_NOSIGNAL);
+        ::close(conn);
+    });
+
+    bool sawNetError = false;
+    try {
+        PhiClient client("127.0.0.1", ntohs(addr.sin_port), 5'000);
+        Rng rng(105);
+        client.request("m", 0, BinaryMatrix::random(2, 64, 0.2, rng));
+        ADD_FAILURE() << "reserved code 105 read as a response";
+    } catch (const EngineError& e) {
+        ADD_FAILURE() << "105 surfaced as an EngineError: " << e.what();
+    } catch (const NetError& e) {
+        sawNetError = true;
+        EXPECT_EQ(static_cast<uint16_t>(e.code()), 105);
+        EXPECT_EQ(engineCodeOf(e.code()), std::nullopt);
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "105 surfaced as neither band: " << e.what();
+    }
+    peer.join();
+    ::close(listener);
+    EXPECT_TRUE(sawNetError);
 }
 
 } // namespace

@@ -1,15 +1,13 @@
 /**
  * @file
- * Tests for the L2 preprocessing chain: compressor filtering and the
- * multi-window packer's invariants (capacity, bank-conflict freedom,
- * exactly-once packing, split handling).
+ * Tests for the L2 multi-window packer's invariants (capacity,
+ * bank-conflict freedom, exactly-once packing, split handling).
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "arch/compressor.hh"
 #include "arch/packer.hh"
 #include "common/rng.hh"
 
@@ -17,36 +15,6 @@ namespace phi
 {
 namespace
 {
-
-TEST(Compressor, FiltersAllZeroRows)
-{
-    Compressor c;
-    RowAssignment zero;
-    zero.posMask = 0;
-    zero.negMask = 0;
-    EXPECT_FALSE(c.compress(0, 0, zero, false).has_value());
-    EXPECT_EQ(c.rowsSeen(), 1u);
-    EXPECT_EQ(c.rowsEmitted(), 0u);
-}
-
-TEST(Compressor, EmitsSortedSignedEntries)
-{
-    Compressor c;
-    RowAssignment a;
-    a.posMask = 0b1001; // +1 at 0 and 3
-    a.negMask = 0b0100; // -1 at 2
-    auto row = c.compress(7, 3, a, true);
-    ASSERT_TRUE(row.has_value());
-    EXPECT_EQ(row->rowId, 7u);
-    EXPECT_EQ(row->partition, 3u);
-    EXPECT_TRUE(row->needsPsum);
-    ASSERT_EQ(row->entries.size(), 3u);
-    EXPECT_EQ(row->entries[0], (std::pair<uint16_t, int8_t>{0, 1}));
-    EXPECT_EQ(row->entries[1], (std::pair<uint16_t, int8_t>{2, -1}));
-    EXPECT_EQ(row->entries[2], (std::pair<uint16_t, int8_t>{3, 1}));
-    EXPECT_EQ(row->unitsNeeded(), 4);
-    EXPECT_EQ(c.entriesEmitted(), 3u);
-}
 
 CompressedRow
 makeRow(uint32_t row_id, int nnz, bool psum = false,

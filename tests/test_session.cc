@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "artifact_cases.hh"
 #include "common/rng.hh"
 #include "core/pipeline.hh"
 #include "io/session_io.hh"
@@ -565,25 +566,9 @@ TEST(SessionIoTest, SnapshotBytesRoundTripExactly)
               (std::vector<int32_t>{0, 2, 1}));
 }
 
-TEST(SessionIoTest, TruncatedSnapshotIsRejected)
-{
-    io::SessionSnapshot snap;
-    snap.nextSessionId = 2;
-    io::SessionStateRecord rec;
-    rec.id = 1;
-    rec.model = "m";
-    rec.layerParams = {LifParams{}};
-    rec.layerState.push_back({{0.0f, 0.0f}, {0, 0}});
-    snap.sessions.push_back(rec);
-    const std::vector<uint8_t> bytes = io::serializeSessions(snap);
-
-    for (size_t keep : {size_t{0}, size_t{8}, bytes.size() - 1})
-        EXPECT_THROW(io::parseSessions(bytes.data(), keep),
-                     io::IoError)
-            << "truncation to " << keep << " bytes was accepted";
-}
-
-TEST(SessionIoTest, CorruptPayloadIsRejectedByCrc)
+/** A one-session, one-layer snapshot image. */
+std::vector<uint8_t>
+smallSnapshotImage()
 {
     io::SessionSnapshot snap;
     snap.nextSessionId = 2;
@@ -593,11 +578,66 @@ TEST(SessionIoTest, CorruptPayloadIsRejectedByCrc)
     rec.layerParams = {LifParams{}};
     rec.layerState.push_back({{1.0f, 2.0f}, {0, 0}});
     snap.sessions.push_back(rec);
-    std::vector<uint8_t> bytes = io::serializeSessions(snap);
+    return io::serializeSessions(snap);
+}
 
-    bytes.back() ^= 0x40; // flip a payload bit
-    EXPECT_THROW(io::parseSessions(bytes.data(), bytes.size()),
-                 io::IoError);
+TEST(SessionIoTest, TruncatedSnapshotIsRejected)
+{
+    test::expectRejectsTruncationAtEveryBoundary(smallSnapshotImage(),
+                                                 test::parseSessionsImage);
+}
+
+TEST(SessionIoTest, CorruptPayloadIsRejectedByCrc)
+{
+    test::expectCrcFlipNamesTheSection(smallSnapshotImage(),
+                                       test::parseSessionsImage);
+}
+
+TEST(SessionIoTest, RejectsBadMagic)
+{
+    test::expectRejectsBadMagic(smallSnapshotImage(),
+                                test::parseSessionsImage);
+}
+
+TEST(SessionIoTest, RejectsUnsupportedVersion)
+{
+    test::expectRejectsUnsupportedVersion(smallSnapshotImage(),
+                                          test::parseSessionsImage);
+}
+
+TEST(SessionIoTest, RejectsWrongKind)
+{
+    test::expectRejectsKind(smallSnapshotImage(), test::parseSessionsImage,
+                            2);
+}
+
+TEST(SessionIoTest, RejectsLyingSectionTable)
+{
+    test::expectRejectsLyingSectionTable(smallSnapshotImage(),
+                                         test::parseSessionsImage);
+}
+
+TEST(SessionIoTest, ContainerLayoutIsPinnedByLiteralBytes)
+{
+    // The empty snapshot: one SESS section holding nextSessionId = 1
+    // and a zero session count.
+    const std::vector<uint8_t> bytes =
+        io::serializeSessions(io::SessionSnapshot{});
+    const std::vector<uint8_t> expected = {
+        0x50, 0x48, 0x49, 0x53,                         // "PHIS"
+        0x01, 0x00, 0x00, 0x00,                         // version 1
+        0x01, 0x00, 0x00, 0x00,                         // kind 1
+        0x01, 0x00, 0x00, 0x00,                         // 1 section
+        0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 64 bytes
+        0x53, 0x45, 0x53, 0x53,                         // "SESS"
+        0xC4, 0xDA, 0xD3, 0x42,                         // CRC-32
+        0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // offset 48
+        0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 16 bytes
+    };
+    ASSERT_EQ(bytes.size(), 64u);
+    EXPECT_EQ(std::vector<uint8_t>(bytes.begin(),
+                                   bytes.begin() + expected.size()),
+              expected);
 }
 
 TEST(SessionIoTest, InconsistentIdsAreRejected)

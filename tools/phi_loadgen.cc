@@ -39,6 +39,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hh"
+
 using namespace phi;
 
 namespace
