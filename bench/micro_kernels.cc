@@ -2,8 +2,9 @@
  * @file
  * google-benchmark micro-benchmarks of the performance-critical
  * kernels: k-means calibration, pattern assignment, decomposition,
- * matching, packing, the reconfigurable adder tree, the GEMM paths and
- * one served layer end to end (BM_ServeLayer*).
+ * matching, packing, the reconfigurable adder tree, the GEMM paths,
+ * one served layer end to end (BM_ServeLayer*) and the wire codec
+ * around it (BM_WireCodec*).
  * These quantify the simulator's own throughput, not the modelled
  * hardware.
  *
@@ -17,12 +18,13 @@
 
 #include "arch/adder_tree.hh"
 #include "arch/packer.hh"
-#include "arch/pattern_matcher.hh"
 #include "bench/bench_util.hh"
 #include "common/rng.hh"
 #include "core/calibration.hh"
 #include "core/compiled_model.hh"
+#include "core/decompose.hh"
 #include "core/pwp.hh"
+#include "net/protocol.hh"
 #include "numeric/simd.hh"
 #include "snn/activation_gen.hh"
 
@@ -95,37 +97,16 @@ BM_PatternMatch(benchmark::State& state)
     std::vector<uint64_t> pats;
     for (int i = 0; i < 128; ++i)
         pats.push_back((rng.next() & 0xffff) | 0b11);
-    PatternMatcher matcher(PatternSet(16, pats));
+    const PatternAssigner assigner(PatternSet(16, pats));
     uint64_t row = 0xBEEF;
     for (auto _ : state) {
-        RowAssignment a = matcher.match(row);
+        RowAssignment a = assigner.assign(row);
         benchmark::DoNotOptimize(a);
         row = (row * 2862933555777941757ull + 1) & 0xffff;
     }
     state.SetItemsProcessed(state.iterations() * 129);
 }
 BENCHMARK(BM_PatternMatch);
-
-void
-BM_PatternMatchAll(benchmark::State& state)
-{
-    Rng rng(3);
-    std::vector<uint64_t> pats;
-    for (int i = 0; i < 128; ++i)
-        pats.push_back((rng.next() & 0xffff) | 0b11);
-    PatternMatcher matcher(PatternSet(16, pats));
-    std::vector<uint64_t> rows(16384);
-    for (auto& r : rows)
-        r = rng.next() & 0xffff;
-    const ExecutionConfig exec = benchExec(state);
-    for (auto _ : state) {
-        auto out = matcher.matchAll(rows, exec);
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(rows.size()) * 129);
-}
-BENCHMARK(BM_PatternMatchAll)->ArgsProduct({{0}, {1, 2, 4, 8}});
 
 void
 BM_PackerThroughput(benchmark::State& state)
@@ -436,6 +417,77 @@ const std::vector<std::vector<int64_t>> kServeLayerArgs = {
 BENCHMARK(BM_ServeLayerPhi)->ArgsProduct(kServeLayerArgs);
 BENCHMARK(BM_ServeLayerSpikeGemm)->ArgsProduct(kServeLayerArgs);
 BENCHMARK(BM_ServeLayerDense)->ArgsProduct(kServeLayerArgs);
+
+// ---- the wire codec around a served bulk layer -----------------------
+// A 1024 x 256 request in and a 1024 x 256 int32 response out, through
+// the calls the server and client make: request decode on the server's
+// net loop, response frame encode on its completion thread, response
+// decode in the client.
+
+constexpr size_t kWireCols = 256;
+
+net::WireResponse
+wireResponse(size_t rows)
+{
+    Rng rng(9);
+    net::WireResponse resp{1, "bench", 1, 0,
+                           Matrix<int32_t>(rows, kWireCols)};
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t c = 0; c < kWireCols; ++c)
+            resp.out(r, c) = static_cast<int32_t>(rng.next());
+    return resp;
+}
+
+void
+BM_WireCodecDecodeActs(benchmark::State& state)
+{
+    const size_t rows = static_cast<size_t>(state.range(0));
+    net::WireRequest req;
+    req.model = "bench";
+    req.acts = clusteredActs(rows, kWireCols, 8);
+    io::ByteWriter body;
+    net::encodeRequest(body, req);
+    for (auto _ : state) {
+        io::ByteReader r(body.buffer().data(), body.size());
+        net::WireRequest back = net::decodeRequest(r);
+        benchmark::DoNotOptimize(back.acts.rowWords(0));
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(body.size()));
+}
+BENCHMARK(BM_WireCodecDecodeActs)->Arg(1024);
+
+void
+BM_WireCodecEncodeResponse(benchmark::State& state)
+{
+    const net::WireResponse resp =
+        wireResponse(static_cast<size_t>(state.range(0)));
+    size_t bytes = 0;
+    for (auto _ : state) {
+        std::vector<uint8_t> frame = net::encodeResponseFrame(resp);
+        bytes = frame.size();
+        benchmark::DoNotOptimize(frame.data());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_WireCodecEncodeResponse)->Arg(1024);
+
+void
+BM_WireCodecDecodeResponse(benchmark::State& state)
+{
+    io::ByteWriter body;
+    net::encodeResponse(body,
+                        wireResponse(static_cast<size_t>(state.range(0))));
+    for (auto _ : state) {
+        io::ByteReader r(body.buffer().data(), body.size());
+        net::WireResponse back = net::decodeResponse(r);
+        benchmark::DoNotOptimize(back.out.data());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(body.size()));
+}
+BENCHMARK(BM_WireCodecDecodeResponse)->Arg(1024);
 
 } // namespace
 } // namespace phi

@@ -55,8 +55,8 @@ struct RowAssignment
 /**
  * The pattern matcher (Fig. 4a): assigns a row-tile to the pattern of
  * minimum Hamming distance. The one argmin of the codebase — the
- * serving decomposition, PAFT, the cluster metrics and the hardware
- * model (PatternMatcher) all delegate here.
+ * serving decomposition, the serve kernel's MatchTable, PAFT and the
+ * cluster metrics all delegate here.
  *
  * Stateless and allocation-free, so one assigner may be shared by any
  * number of threads. Distances come from the SIMD hammingScan kernel

@@ -1,6 +1,5 @@
 #include "io/model_io.hh"
 
-#include <bit>
 #include <algorithm>
 
 #include "io/container.hh"
@@ -34,67 +33,34 @@ checkedElems(const ByteReader& r, uint64_t rows, uint64_t cols,
     return static_cast<size_t>(rows * cols);
 }
 
-/** True when raw memcpy of T rows equals the per-element LE encoding. */
-template <typename T>
-constexpr bool kPodLittleEndian =
-    std::endian::native == std::endian::little &&
-    std::is_integral_v<T>;
-
 /**
  * Matrix rows are encoded densely (cols() elements per row, no
- * padding), so artifacts are independent of the in-memory stride. On
- * little-endian hosts whole rows are copied directly between the
- * artifact and the 64-byte-aligned row storage — the loader rehydrates
- * PWP tables into SIMD-ready memory with no per-element decode and no
- * intermediate copy.
+ * padding), so artifacts are independent of the in-memory stride.
+ * Whole rows go through the ints()/intsInto() bulk path, so on a
+ * little-endian host the loader rehydrates PWP tables into SIMD-ready
+ * memory with no per-element decode and no intermediate copy.
  */
-template <typename T, typename WriteElem>
+template <typename T>
 void
-writeMatrix(ByteWriter& w, const Matrix<T>& m, WriteElem&& elem)
+writeMatrix(ByteWriter& w, const Matrix<T>& m)
 {
     w.u64(m.rows());
     w.u64(m.cols());
-    for (size_t r = 0; r < m.rows(); ++r) {
-        const T* row = m.rowPtr(r);
-        if constexpr (kPodLittleEndian<T>) {
-            w.bytes(row, m.cols() * sizeof(T));
-        } else {
-            for (size_t c = 0; c < m.cols(); ++c)
-                elem(row[c]);
-        }
-    }
+    for (size_t r = 0; r < m.rows(); ++r)
+        w.ints(m.rowPtr(r), m.cols());
 }
 
-template <typename T, typename ReadElem>
+template <typename T>
 Matrix<T>
-readMatrix(ByteReader& r, ReadElem&& elem)
+readMatrix(ByteReader& r)
 {
     const uint64_t rows = r.u64();
     const uint64_t cols = r.u64();
     checkedElems(r, rows, cols, sizeof(T));
     Matrix<T> m(static_cast<size_t>(rows), static_cast<size_t>(cols));
-    for (size_t row = 0; row < m.rows(); ++row) {
-        T* dst = m.rowPtr(row);
-        if constexpr (kPodLittleEndian<T>) {
-            r.bytesInto(dst, m.cols() * sizeof(T));
-        } else {
-            for (size_t c = 0; c < m.cols(); ++c)
-                dst[c] = elem();
-        }
-    }
+    for (size_t row = 0; row < m.rows(); ++row)
+        r.intsInto(m.rowPtr(row), m.cols());
     return m;
-}
-
-Matrix<int32_t>
-readMatrixI32(ByteReader& r)
-{
-    return readMatrix<int32_t>(r, [&r] { return r.i32(); });
-}
-
-void
-writeMatrixI32(ByteWriter& w, const Matrix<int32_t>& m)
-{
-    writeMatrix(w, m, [&w](int32_t v) { w.i32(v); });
 }
 
 } // namespace
@@ -178,13 +144,13 @@ readCalibrationConfig(ByteReader& r)
 void
 writeWeights(ByteWriter& w, const Matrix<int16_t>& m)
 {
-    writeMatrix(w, m, [&w](int16_t v) { w.i16(v); });
+    writeMatrix(w, m);
 }
 
 Matrix<int16_t>
 readWeights(ByteReader& r)
 {
-    return readMatrix<int16_t>(r, [&r] { return r.i16(); });
+    return readMatrix<int16_t>(r);
 }
 
 void
@@ -192,7 +158,7 @@ writePwps(ByteWriter& w, const std::vector<Matrix<int32_t>>& pwps)
 {
     w.u64(pwps.size());
     for (const auto& p : pwps)
-        writeMatrixI32(w, p);
+        writeMatrix(w, p);
 }
 
 std::vector<Matrix<int32_t>>
@@ -202,7 +168,7 @@ readPwps(ByteReader& r)
     std::vector<Matrix<int32_t>> pwps;
     pwps.reserve(static_cast<size_t>(n));
     for (uint64_t i = 0; i < n; ++i)
-        pwps.push_back(readMatrixI32(r));
+        pwps.push_back(readMatrix<int32_t>(r));
     return pwps;
 }
 

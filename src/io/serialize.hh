@@ -2,11 +2,16 @@
  * @file
  * Endian-stable binary primitives for the artifact format.
  *
- * Every multi-byte value is encoded little-endian byte by byte, so the
- * on-disk representation is identical on any host. The reader is fully
- * bounds-checked: running off the end of the buffer throws IoError
- * rather than reading garbage, which is what turns a truncated or
- * corrupt artifact into a clean rejection.
+ * Every multi-byte value is encoded little-endian, so the on-disk and
+ * on-wire representation is identical on any host. Scalars are encoded
+ * byte by byte. Integer arrays (ByteWriter::ints, ByteReader::intsInto)
+ * take a bulk path: on a little-endian host their in-memory bytes
+ * already are the encoding, so a whole array is one memcpy. Other hosts
+ * fall back to the per-element loop, which writes the same bytes.
+ *
+ * The reader is fully bounds-checked: running off the end of the
+ * buffer throws IoError rather than reading garbage, which is what
+ * turns a truncated or corrupt artifact into a clean rejection.
  *
  * Unlike phi_assert (internal invariants, panics), artifact problems
  * are user-level input errors and always throw — a serving process must
@@ -16,10 +21,13 @@
 #ifndef PHI_IO_SERIALIZE_HH
 #define PHI_IO_SERIALIZE_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace phi::io
@@ -124,8 +132,43 @@ class ByteWriter
         buf.insert(buf.end(), b, b + n);
     }
 
+    /** @p n integers, each little-endian: one copy on a little-endian
+     *  host, the per-element encoding elsewhere. */
+    template <typename T>
+    void
+    ints(const T* p, size_t n)
+    {
+        static_assert(std::is_integral_v<T>, "bulk path is for integers");
+        if constexpr (std::endian::native == std::endian::little) {
+            bytes(p, n * sizeof(T));
+        } else {
+            for (size_t i = 0; i < n; ++i) {
+                const auto v = static_cast<std::make_unsigned_t<T>>(p[i]);
+                for (size_t s = 0; s < sizeof(T); ++s)
+                    buf.push_back(static_cast<uint8_t>(v >> (8 * s)));
+            }
+        }
+    }
+
+    /** Overwrite the u32 at byte @p at, e.g. a length prefix written
+     *  before the bytes it counts. */
+    void
+    patchU32(size_t at, uint32_t v)
+    {
+        for (int i = 0; i < 4; ++i)
+            buf.at(at + static_cast<size_t>(i)) =
+                static_cast<uint8_t>(v >> (8 * i));
+    }
+
+    /** Grow capacity to @p n bytes in total, so a payload of known
+     *  size lands with one allocation. */
+    void reserve(size_t n) { buf.reserve(n); }
+
     size_t size() const { return buf.size(); }
     const std::vector<uint8_t>& buffer() const { return buf; }
+
+    /** Move the bytes out; the writer is left empty. */
+    std::vector<uint8_t> take() { return std::move(buf); }
 
   private:
     std::vector<uint8_t> buf;
@@ -185,19 +228,28 @@ class ByteReader
     int32_t i32() { return static_cast<int32_t>(u32()); }
     int64_t i64() { return static_cast<int64_t>(u64()); }
 
-    /**
-     * Bulk copy of n raw bytes into caller storage. Only correct for
-     * data whose encoded layout matches the destination's in-memory
-     * layout (e.g. little-endian PODs on a little-endian host); the
-     * matrix readers use it to rehydrate rows straight into their
-     * aligned buffers without a per-element decode.
-     */
+    /** Inverse of ByteWriter::ints(): @p n little-endian integers
+     *  straight into caller storage, one copy on a little-endian host. */
+    template <typename T>
     void
-    bytesInto(void* dst, size_t n)
+    intsInto(T* dst, size_t n)
     {
-        need(n);
-        std::memcpy(dst, base + pos, n);
-        pos += n;
+        static_assert(std::is_integral_v<T>, "bulk path is for integers");
+        // Saturate rather than wrap, so a huge n still fails need().
+        need(n > SIZE_MAX / sizeof(T) ? SIZE_MAX : n * sizeof(T));
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(dst, base + pos, n * sizeof(T));
+            pos += n * sizeof(T);
+        } else {
+            using U = std::make_unsigned_t<T>;
+            for (size_t i = 0; i < n; ++i) {
+                U v = 0;
+                for (size_t s = 0; s < sizeof(T); ++s)
+                    v = static_cast<U>(
+                        v | static_cast<U>(base[pos++]) << (8 * s));
+                dst[i] = static_cast<T>(v);
+            }
+        }
     }
 
     double

@@ -196,10 +196,7 @@ PhiClient::sendRequest(const WireRequest& req)
     WireRequest stamped = req;
     if (stamped.id == 0)
         stamped.id = nextId++;
-    io::ByteWriter body;
-    encodeRequest(body, stamped);
-    const std::vector<uint8_t> frame =
-        encodeFrame(FrameType::Request, body.buffer());
+    const std::vector<uint8_t> frame = encodeRequestFrame(stamped);
     writeAll(frame.data(), frame.size());
     return stamped.id;
 }
@@ -262,11 +259,9 @@ PhiClient::request(const std::string& model, uint32_t layer,
 }
 
 std::vector<uint8_t>
-PhiClient::roundTrip(FrameType sendType,
-                     const std::vector<uint8_t>& body,
+PhiClient::roundTrip(const std::vector<uint8_t>& frame,
                      FrameType expect)
 {
-    const std::vector<uint8_t> frame = encodeFrame(sendType, body);
     writeAll(frame.data(), frame.size());
 
     FrameType type;
@@ -299,9 +294,9 @@ PhiClient::openSession(const std::string& model,
     msg.params = std::move(params);
     io::ByteWriter body;
     encodeOpenSession(body, msg);
-    const std::vector<uint8_t> reply = roundTrip(
-        FrameType::OpenSession, body.buffer(),
-        FrameType::SessionOpened);
+    const std::vector<uint8_t> reply =
+        roundTrip(encodeFrame(FrameType::OpenSession, body.buffer()),
+                  FrameType::SessionOpened);
     io::ByteReader r(reply.data(), reply.size());
     WireSessionOpened out;
     try {
@@ -326,11 +321,8 @@ PhiClient::stepSession(uint64_t sessionId, const BinaryMatrix& frames)
     msg.id = nextId++;
     msg.sessionId = sessionId;
     msg.frames = frames;
-    io::ByteWriter body;
-    encodeStepSession(body, msg);
-    const std::vector<uint8_t> reply = roundTrip(
-        FrameType::StepSession, body.buffer(),
-        FrameType::SessionStepped);
+    const std::vector<uint8_t> reply =
+        roundTrip(encodeStepSessionFrame(msg), FrameType::SessionStepped);
     io::ByteReader r(reply.data(), reply.size());
     WireSessionStepped out;
     try {
@@ -356,9 +348,9 @@ PhiClient::closeSession(uint64_t sessionId)
     msg.sessionId = sessionId;
     io::ByteWriter body;
     encodeCloseSession(body, msg);
-    const std::vector<uint8_t> reply = roundTrip(
-        FrameType::CloseSession, body.buffer(),
-        FrameType::SessionClosed);
+    const std::vector<uint8_t> reply =
+        roundTrip(encodeFrame(FrameType::CloseSession, body.buffer()),
+                  FrameType::SessionClosed);
     io::ByteReader r(reply.data(), reply.size());
     WireSessionClosed out;
     try {

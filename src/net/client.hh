@@ -121,8 +121,7 @@ class PhiClient
     void writeAll(const void* data, size_t len);
     /** Send one frame, read one reply: an Error frame rethrows by
      *  band, any type other than @p expect throws BadFrameType. */
-    std::vector<uint8_t> roundTrip(FrameType sendType,
-                                   const std::vector<uint8_t>& body,
+    std::vector<uint8_t> roundTrip(const std::vector<uint8_t>& frame,
                                    FrameType expect);
 
     int sock = -1;

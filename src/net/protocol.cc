@@ -1,6 +1,5 @@
 #include "net/protocol.hh"
 
-#include <algorithm>
 #include <cstring>
 
 namespace phi::net
@@ -119,13 +118,15 @@ actsWordsPerRow(size_t cols)
 void
 encodeActs(io::ByteWriter& w, const BinaryMatrix& acts)
 {
+    const size_t wordsPerRow = acts.numWordsPerRow();
+    w.reserve(w.size() + 8 + acts.rows() * wordsPerRow * 8);
     w.u32(static_cast<uint32_t>(acts.rows()));
     w.u32(static_cast<uint32_t>(acts.cols()));
     // Only the logical words cross the wire — the receiver rebuilds
     // its own padded/aligned storage. Tail bits beyond cols() are
     // zero by BinaryMatrix invariant, so the bytes are canonical.
     for (size_t r = 0; r < acts.rows(); ++r)
-        w.bytes(acts.rowWords(r), acts.numWordsPerRow() * 8);
+        w.ints(acts.rowWords(r), wordsPerRow);
 }
 
 BinaryMatrix
@@ -155,17 +156,39 @@ decodeActs(io::ByteReader& r)
     BinaryMatrix acts(rows, cols);
     std::vector<uint64_t> row(wordsPerRow);
     for (uint32_t i = 0; i < rows; ++i) {
-        r.bytesInto(row.data(), wordsPerRow * 8);
-        for (size_t wIdx = 0; wIdx < wordsPerRow; ++wIdx) {
-            const size_t start = wIdx * 64;
-            const int len = static_cast<int>(
-                std::min<size_t>(64, size_t{cols} - start));
-            // deposit() clips to cols(), so a peer that sent garbage
-            // tail bits cannot break the tail-invariant contract.
-            acts.deposit(i, start, len, row[wIdx]);
-        }
+        r.intsInto(row.data(), wordsPerRow);
+        // deposit() clips to cols(), so a peer that sent garbage
+        // tail bits cannot break the tail-invariant contract.
+        for (size_t wIdx = 0; wIdx < wordsPerRow; ++wIdx)
+            acts.deposit(i, wIdx * 64, 64, row[wIdx]);
     }
     return acts;
+}
+
+void
+encodeHeader(io::ByteWriter& w, FrameType type, size_t bodyLen)
+{
+    w.u32(kMagic);
+    w.u32(static_cast<uint32_t>(type));
+    w.u32(static_cast<uint32_t>(bodyLen));
+}
+
+/**
+ * One frame in one buffer: the header, the body encoded in place
+ * behind it, then bodyLen patched in. The body encoders reserve their
+ * bulk payload exactly, so a large frame is allocated once for its
+ * payload and the body is never copied.
+ */
+template <typename Msg>
+std::vector<uint8_t>
+encodeInFrame(FrameType type, const Msg& msg,
+              void (*encode)(io::ByteWriter&, const Msg&))
+{
+    io::ByteWriter w;
+    encodeHeader(w, type, 0);
+    encode(w, msg);
+    w.patchU32(8, static_cast<uint32_t>(w.size() - kFrameHeaderBytes));
+    return w.take();
 }
 
 } // namespace
@@ -207,11 +230,13 @@ encodeResponse(io::ByteWriter& w, const WireResponse& resp)
     w.str(resp.model);
     w.u64(resp.version);
     w.u32(resp.layer);
-    w.u32(static_cast<uint32_t>(resp.out.rows()));
-    w.u32(static_cast<uint32_t>(resp.out.cols()));
-    for (size_t r = 0; r < resp.out.rows(); ++r)
-        for (size_t c = 0; c < resp.out.cols(); ++c)
-            w.i32(resp.out(r, c));
+    const size_t rows = resp.out.rows();
+    const size_t cols = resp.out.cols();
+    w.reserve(w.size() + 8 + rows * cols * 4);
+    w.u32(static_cast<uint32_t>(rows));
+    w.u32(static_cast<uint32_t>(cols));
+    for (size_t r = 0; r < rows; ++r)
+        w.ints(resp.out.rowPtr(r), cols);
 }
 
 WireResponse
@@ -235,8 +260,7 @@ decodeResponse(io::ByteReader& r)
         throw io::IoError("response payload truncated");
     resp.out = Matrix<int32_t>(rows, cols);
     for (uint32_t i = 0; i < rows; ++i)
-        for (uint32_t j = 0; j < cols; ++j)
-            resp.out(i, j) = r.i32();
+        r.intsInto(resp.out.rowPtr(i), cols);
     if (r.remaining() != 0)
         throw io::IoError("response body has trailing bytes");
     return resp;
@@ -430,14 +454,38 @@ decodeSessionClosed(io::ByteReader& r)
 }
 
 std::vector<uint8_t>
+encodeRequestFrame(const WireRequest& req)
+{
+    return encodeInFrame(FrameType::Request, req, encodeRequest);
+}
+
+std::vector<uint8_t>
+encodeResponseFrame(const WireResponse& resp)
+{
+    return encodeInFrame(FrameType::Response, resp, encodeResponse);
+}
+
+std::vector<uint8_t>
+encodeStepSessionFrame(const WireStepSession& msg)
+{
+    return encodeInFrame(FrameType::StepSession, msg, encodeStepSession);
+}
+
+std::vector<uint8_t>
+encodeSessionSteppedFrame(const WireSessionStepped& msg)
+{
+    return encodeInFrame(FrameType::SessionStepped, msg,
+                         encodeSessionStepped);
+}
+
+std::vector<uint8_t>
 encodeFrame(FrameType type, const std::vector<uint8_t>& body)
 {
     io::ByteWriter w;
-    w.u32(kMagic);
-    w.u32(static_cast<uint32_t>(type));
-    w.u32(static_cast<uint32_t>(body.size()));
+    w.reserve(kFrameHeaderBytes + body.size());
+    encodeHeader(w, type, body.size());
     w.bytes(body.data(), body.size());
-    return w.buffer();
+    return w.take();
 }
 
 std::vector<uint8_t>

@@ -310,6 +310,16 @@ WireSessionClosed decodeSessionClosed(io::ByteReader& r);
 std::vector<uint8_t> encodeFrame(FrameType type,
                                  const std::vector<uint8_t>& body);
 
+// Whole frames of the bulk message types, built in one buffer: the
+// body is encoded straight behind the header and its payload is sized
+// once from the message's shape, so no body vector is built or copied.
+// Bytes equal encodeFrame() of the matching body encoder's output.
+std::vector<uint8_t> encodeRequestFrame(const WireRequest& req);
+std::vector<uint8_t> encodeResponseFrame(const WireResponse& resp);
+std::vector<uint8_t> encodeStepSessionFrame(const WireStepSession& msg);
+std::vector<uint8_t> encodeSessionSteppedFrame(
+    const WireSessionStepped& msg);
+
 /** Convenience: a whole Error frame in one call. */
 std::vector<uint8_t> encodeErrorFrame(uint32_t id, WireErrorCode code,
                                       const std::string& message);

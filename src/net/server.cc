@@ -1142,23 +1142,15 @@ PhiServer::completionLoop()
         try {
             if (work.kind == InFlight::Kind::SessionStep) {
                 SessionStepResult res = work.sessionFuture.get();
-                io::ByteWriter body;
-                encodeSessionStepped(body, {work.requestId,
-                                            res.sessionId,
-                                            res.firstStep,
-                                            std::move(res.spikes)});
-                frame = encodeFrame(FrameType::SessionStepped,
-                                    body.buffer());
+                frame = encodeSessionSteppedFrame(
+                    {work.requestId, res.sessionId, res.firstStep,
+                     std::move(res.spikes)});
             } else {
                 EngineResponse resp = work.future.get();
-                io::ByteWriter body;
-                encodeResponse(body,
-                               {work.requestId, resp.model.name,
-                                resp.model.version,
-                                static_cast<uint32_t>(resp.layer),
-                                std::move(resp.out)});
-                frame =
-                    encodeFrame(FrameType::Response, body.buffer());
+                frame = encodeResponseFrame(
+                    {work.requestId, resp.model.name, resp.model.version,
+                     static_cast<uint32_t>(resp.layer),
+                     std::move(resp.out)});
             }
         } catch (const EngineError& e) {
             frame = encodeErrorFrame(work.requestId,

@@ -1,5 +1,7 @@
 #include "numeric/binary_matrix.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/rng.hh"
 #include "numeric/simd.hh"
@@ -71,12 +73,22 @@ BinaryMatrix::extract(size_t r, size_t start, int len) const
 void
 BinaryMatrix::deposit(size_t r, size_t start, int len, uint64_t value)
 {
+    phi_assert(r < nRows, "row ", r, " out of ", nRows);
     phi_assert(len >= 1 && len <= 64, "deposit length must be in [1,64]");
-    for (int i = 0; i < len; ++i) {
-        size_t c = start + i;
-        if (c >= nCols)
-            break;
-        set(r, c, (value >> i) & 1);
+    if (start >= nCols)
+        return;
+
+    const int avail = static_cast<int>(std::min<size_t>(len, nCols - start));
+    const uint64_t mask = lowMask(avail);
+    const uint64_t bits = value & mask;
+    uint64_t* row = words.data() + r * wordStride;
+    const size_t w0 = start / 64;
+    const int off = static_cast<int>(start % 64);
+    row[w0] = (row[w0] & ~(mask << off)) | (bits << off);
+    // A straddling deposit spills its high bits into the next word.
+    if (off + avail > 64) {
+        row[w0 + 1] = (row[w0 + 1] & ~(mask >> (64 - off))) |
+                      (bits >> (64 - off));
     }
 }
 

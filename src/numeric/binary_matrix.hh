@@ -55,7 +55,13 @@ class BinaryMatrix
      */
     uint64_t extract(size_t r, size_t start, int len) const;
 
-    /** Deposit the low len bits of value at (r, start..start+len). */
+    /**
+     * Deposit the low len bits (len in [1, 64]) of value at (r,
+     * start..start+len), leaving every other bit of the row as it was.
+     * Bits of value above len are ignored, and columns past the matrix
+     * edge are clipped, so the tail bits stay clear for any input. One
+     * masked read-modify-write of at most two words.
+     */
     void deposit(size_t r, size_t start, int len, uint64_t value);
 
     /** Number of set bits in row r. */

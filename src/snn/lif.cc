@@ -61,8 +61,9 @@ LifPopulation::stepInto(const float* current, BinaryMatrix& spikes,
     phi_assert(spikes.cols() == membrane.size(),
                "spike row width does not match the population");
     phi_assert(row < spikes.rows(), "spike row out of range");
-    // Accumulate bits a 64-wide word at a time and deposit whole
-    // words: no per-step allocation, no per-neuron set() call.
+    // Accumulate bits a 64-wide word at a time; deposit() writes each
+    // word with one masked read-modify-write. No per-step allocation,
+    // no per-neuron set() call.
     const size_t n = membrane.size();
     for (size_t start = 0; start < n; start += 64) {
         const int len =
@@ -74,8 +75,6 @@ LifPopulation::stepInto(const float* current, BinaryMatrix& spikes,
                 word |= uint64_t{1} << b;
         spikes.deposit(row, start, len, word);
     }
-    if (n == 0)
-        return;
 }
 
 void

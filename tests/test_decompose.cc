@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the Phi hierarchical decomposition: assignment rules,
- * bidirectional correction, and the losslessness invariant swept over
- * densities, tile widths and pattern counts.
+ * Tests for the Phi hierarchical decomposition: assignment rules, the
+ * matcher's agreement across SIMD backends, bidirectional correction,
+ * and the losslessness invariant swept over densities, tile widths and
+ * pattern counts.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/bitops.hh"
 #include "common/rng.hh"
 #include "core/calibration.hh"
 #include "core/decompose.hh"
@@ -121,6 +123,77 @@ TEST(PatternAssigner, ScansEveryBlockOfALargeTable)
         const RowAssignment exact = a.assign(0x00F3);
         EXPECT_EQ(exact.patternId, 191) << simdIsaName(isa);
         EXPECT_EQ(exact.nnz(), 0) << simdIsaName(isa);
+    }
+}
+
+PatternSet
+randomPatterns(int k, size_t q, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint64_t> pats;
+    while (pats.size() < q) {
+        uint64_t p = rng.next() & lowMask(k);
+        if (p == 0 || isOneHot(p))
+            continue;
+        pats.push_back(p);
+    }
+    return PatternSet(k, pats);
+}
+
+/** Every backend's assignment equals the scalar assigner's. */
+void
+expectAgreesWithAssigner(const PatternSet& ps,
+                         const std::vector<uint64_t>& rows)
+{
+    const PatternAssigner scalar(ps, SimdIsa::Scalar);
+    for (SimdIsa isa : simd::availableIsas()) {
+        const PatternAssigner onIsa(ps, isa);
+        for (uint64_t row : rows) {
+            const RowAssignment a = scalar.assign(row);
+            const RowAssignment got = onIsa.assign(row);
+            EXPECT_EQ(got.patternId, a.patternId)
+                << simdIsaName(isa) << " row " << row;
+            EXPECT_EQ(got.posMask, a.posMask) << simdIsaName(isa);
+            EXPECT_EQ(got.negMask, a.negMask) << simdIsaName(isa);
+        }
+    }
+}
+
+TEST(Matcher, AgreesWithAssignerOnAllValues)
+{
+    // 8-bit tiles: check all 256 possible rows against 16 patterns.
+    std::vector<uint64_t> rows(256);
+    for (uint64_t row = 0; row < 256; ++row)
+        rows[row] = row;
+    expectAgreesWithAssigner(randomPatterns(8, 16, 1), rows);
+}
+
+TEST(Matcher, AgreesWithAssignerOn16BitSamples)
+{
+    Rng rng(3);
+    std::vector<uint64_t> rows(5000);
+    for (auto& row : rows)
+        row = rng.next() & 0xffff;
+    expectAgreesWithAssigner(randomPatterns(16, 128, 2), rows);
+}
+
+TEST(Matcher, DifferencePopcountIsMinimal)
+{
+    PatternSet ps = randomPatterns(16, 64, 4);
+    Rng rng(5);
+    std::vector<uint64_t> rows(2000);
+    for (auto& row : rows)
+        row = rng.next() & 0xffff;
+    for (SimdIsa isa : simd::availableIsas()) {
+        const PatternAssigner assigner(ps, isa);
+        for (uint64_t row : rows) {
+            const int chosen = assigner.assign(row).nnz();
+            // No pattern (or baseline) may beat the chosen count.
+            EXPECT_LE(chosen, popcount64(row)) << simdIsaName(isa);
+            for (uint64_t p : ps.patterns())
+                EXPECT_LE(chosen, hammingDistance(row, p))
+                    << simdIsaName(isa);
+        }
     }
 }
 

@@ -156,6 +156,30 @@ TEST(BinaryMatrix, DepositClipsAtEdge)
     EXPECT_EQ(m.popcountRow(0), 4u);
 }
 
+TEST(BinaryMatrix, DepositMatchesPerBitReference)
+{
+    // Every (start, len) on the middle row of a 130-column matrix:
+    // word straddles at 64 and 128, clipping at the edge, and values
+    // with garbage bits above len. The reference writes one bit at a
+    // time with set(); the rows around the target must not change.
+    Rng rng(41);
+    const size_t cols = 130;
+    BinaryMatrix m = BinaryMatrix::random(3, cols, 0.5, rng);
+    BinaryMatrix ref = m;
+    for (size_t start = 0; start < cols + 70; ++start) {
+        for (int len = 1; len <= 64; ++len) {
+            const uint64_t value = rng.next();
+            m.deposit(1, start, len, value);
+            for (int i = 0; i < len && start + i < cols; ++i)
+                ref.set(1, start + static_cast<size_t>(i),
+                        (value >> i) & 1);
+            ASSERT_TRUE(m == ref) << "start=" << start << " len=" << len;
+            ASSERT_TRUE(m.tailBitsClear())
+                << "start=" << start << " len=" << len;
+        }
+    }
+}
+
 TEST(BinaryMatrix, PopcountAndDensity)
 {
     BinaryMatrix m(2, 10);

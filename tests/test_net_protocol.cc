@@ -6,13 +6,17 @@
  * length fields, oversized frames, bad magic, trailing garbage. The
  * contract pinned here: every malformed input is a *typed* rejection
  * (ParseStatus::Bad with a code, or io::IoError from a body decoder),
- * never an out-of-bounds read, an allocation bomb, or a crash.
+ * never an out-of-bounds read, an allocation bomb, or a crash. The
+ * bulk codec's bytes are pinned against a per-element oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/rng.hh"
 #include "net/protocol.hh"
 
@@ -34,14 +38,6 @@ sampleRequest()
     req.priority = -2;
     req.acts = BinaryMatrix::random(5, 130, 0.3, rng);
     return req;
-}
-
-std::vector<uint8_t>
-encodeRequestFrame(const WireRequest& req)
-{
-    io::ByteWriter body;
-    encodeRequest(body, req);
-    return encodeFrame(FrameType::Request, body.buffer());
 }
 
 TEST(NetProtocol, RequestRoundTripsBitExact)
@@ -437,6 +433,254 @@ TEST(NetProtocol, ActsWithRaggedColumnsSurviveTheWire)
         for (size_t i = 0; i < 3; ++i)
             for (size_t c = 0; c < cols; ++c)
                 ASSERT_EQ(back.acts.get(i, c), req.acts.get(i, c));
+    }
+}
+
+// ---- the wire bytes, pinned -----------------------------------------
+// The codec as it was before its bulk paths, kept as the oracle: every
+// value is written byte by byte, every activation bit read with get()
+// and written back with set(), every int32 one at a time. The bulk
+// encoders must equal it byte for byte, and their decoders must agree
+// with its decoders.
+
+void
+oracleU32(std::vector<uint8_t>& out, uint32_t v)
+{
+    for (int s = 0; s < 32; s += 8)
+        out.push_back(static_cast<uint8_t>(v >> s));
+}
+
+void
+oracleU64(std::vector<uint8_t>& out, uint64_t v)
+{
+    for (int s = 0; s < 64; s += 8)
+        out.push_back(static_cast<uint8_t>(v >> s));
+}
+
+void
+oracleStr(std::vector<uint8_t>& out, const std::string& s)
+{
+    oracleU32(out, static_cast<uint32_t>(s.size()));
+    out.insert(out.end(), s.begin(), s.end());
+}
+
+void
+oracleActs(std::vector<uint8_t>& out, const BinaryMatrix& acts)
+{
+    oracleU32(out, static_cast<uint32_t>(acts.rows()));
+    oracleU32(out, static_cast<uint32_t>(acts.cols()));
+    for (size_t r = 0; r < acts.rows(); ++r)
+        for (size_t c0 = 0; c0 < acts.cols(); c0 += 64) {
+            uint64_t word = 0;
+            for (size_t c = c0; c < std::min(c0 + 64, acts.cols()); ++c)
+                word |= uint64_t{acts.get(r, c)} << (c - c0);
+            oracleU64(out, word);
+        }
+}
+
+/** Per-bit decode of an activation payload: bits past cols dropped. */
+BinaryMatrix
+oracleDecodeActs(io::ByteReader& r)
+{
+    const uint32_t rows = r.u32();
+    const uint32_t cols = r.u32();
+    BinaryMatrix acts(rows, cols);
+    for (uint32_t i = 0; i < rows; ++i)
+        for (size_t c0 = 0; c0 < cols; c0 += 64) {
+            const uint64_t word = r.u64();
+            for (size_t c = c0; c < std::min<size_t>(c0 + 64, cols); ++c)
+                acts.set(i, c, (word >> (c - c0)) & 1);
+        }
+    return acts;
+}
+
+std::vector<uint8_t>
+oracleFrame(FrameType type, const std::vector<uint8_t>& body)
+{
+    std::vector<uint8_t> out;
+    oracleU32(out, kMagic);
+    oracleU32(out, static_cast<uint32_t>(type));
+    oracleU32(out, static_cast<uint32_t>(body.size()));
+    out.insert(out.end(), body.begin(), body.end());
+    return out;
+}
+
+std::vector<uint8_t>
+oracleRequest(const WireRequest& req)
+{
+    std::vector<uint8_t> b;
+    oracleU32(b, req.id);
+    oracleStr(b, req.model);
+    oracleU64(b, req.version);
+    oracleU32(b, req.layer);
+    oracleU32(b, req.deadlineMs);
+    oracleU32(b, static_cast<uint32_t>(req.priority));
+    oracleActs(b, req.acts);
+    return oracleFrame(FrameType::Request, b);
+}
+
+std::vector<uint8_t>
+oracleResponse(const WireResponse& resp)
+{
+    std::vector<uint8_t> b;
+    oracleU32(b, resp.id);
+    oracleStr(b, resp.model);
+    oracleU64(b, resp.version);
+    oracleU32(b, resp.layer);
+    oracleU32(b, static_cast<uint32_t>(resp.out.rows()));
+    oracleU32(b, static_cast<uint32_t>(resp.out.cols()));
+    for (size_t r = 0; r < resp.out.rows(); ++r)
+        for (size_t c = 0; c < resp.out.cols(); ++c)
+            oracleU32(b, static_cast<uint32_t>(resp.out(r, c)));
+    return oracleFrame(FrameType::Response, b);
+}
+
+std::vector<uint8_t>
+oracleStepSession(const WireStepSession& msg)
+{
+    std::vector<uint8_t> b;
+    oracleU32(b, msg.id);
+    oracleU64(b, msg.sessionId);
+    oracleActs(b, msg.frames);
+    return oracleFrame(FrameType::StepSession, b);
+}
+
+std::vector<uint8_t>
+oracleSessionStepped(const WireSessionStepped& msg)
+{
+    std::vector<uint8_t> b;
+    oracleU32(b, msg.id);
+    oracleU64(b, msg.sessionId);
+    oracleU64(b, msg.firstStep);
+    oracleActs(b, msg.spikes);
+    return oracleFrame(FrameType::SessionStepped, b);
+}
+
+/** The body of a whole frame, for the decoders. */
+io::ByteReader
+bodyOf(const std::vector<uint8_t>& frame)
+{
+    return io::ByteReader(frame.data() + kFrameHeaderBytes,
+                          frame.size() - kFrameHeaderBytes);
+}
+
+/** Both ways to build a frame: one buffer, and body + encodeFrame(). */
+template <typename Msg>
+void
+expectFramesEqual(const std::vector<uint8_t>& oracle, FrameType type,
+                  const Msg& msg,
+                  std::vector<uint8_t> (*oneBuffer)(const Msg&),
+                  void (*encodeBody)(io::ByteWriter&, const Msg&))
+{
+    EXPECT_EQ(oneBuffer(msg), oracle);
+    io::ByteWriter body;
+    encodeBody(body, msg);
+    EXPECT_EQ(encodeFrame(type, body.buffer()), oracle);
+}
+
+TEST(NetProtocol, BulkCodecMatchesThePerElementOracle)
+{
+    Rng rng(23);
+    const int32_t extremes[] = {std::numeric_limits<int32_t>::min(),
+                                std::numeric_limits<int32_t>::max(),
+                                -1};
+    for (size_t cols : {1u, 63u, 64u, 65u, 130u, 256u}) {
+        for (size_t rows : {0u, 1u, 1024u}) {
+            SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+            const BinaryMatrix acts =
+                BinaryMatrix::random(rows, cols, 0.5, rng);
+
+            WireRequest req;
+            req.id = 7;
+            req.model = "vision";
+            req.version = 3;
+            req.layer = 2;
+            req.deadlineMs = 90;
+            req.priority = -5;
+            req.acts = acts;
+            const std::vector<uint8_t> reqFrame = oracleRequest(req);
+            expectFramesEqual(reqFrame, FrameType::Request, req,
+                              encodeRequestFrame, encodeRequest);
+            io::ByteReader rq = bodyOf(reqFrame);
+            const WireRequest backReq = decodeRequest(rq);
+            io::ByteReader oq = bodyOf(reqFrame);
+            oq.u32(); // id
+            oq.str(); // model
+            oq.u64(); // version
+            oq.u32(); // layer
+            oq.u32(); // deadline
+            oq.i32(); // priority
+            EXPECT_TRUE(backReq.acts == oracleDecodeActs(oq));
+            EXPECT_TRUE(backReq.acts == acts);
+
+            WireResponse resp;
+            resp.id = 8;
+            resp.model = "vision";
+            resp.version = 3;
+            resp.layer = 2;
+            resp.out = Matrix<int32_t>(rows, cols);
+            for (size_t r = 0; r < rows; ++r)
+                for (size_t c = 0; c < cols; ++c)
+                    resp.out(r, c) = (r + c) % 7 < 3
+                                         ? extremes[(r + c) % 7]
+                                         : static_cast<int32_t>(rng.next());
+            const std::vector<uint8_t> respFrame = oracleResponse(resp);
+            expectFramesEqual(respFrame, FrameType::Response, resp,
+                              encodeResponseFrame, encodeResponse);
+            io::ByteReader rr = bodyOf(respFrame);
+            const WireResponse backResp = decodeResponse(rr);
+            EXPECT_EQ(backResp.id, resp.id);
+            EXPECT_EQ(backResp.model, resp.model);
+            EXPECT_EQ(backResp.version, resp.version);
+            EXPECT_EQ(backResp.layer, resp.layer);
+            EXPECT_TRUE(backResp.out == resp.out);
+
+            const WireStepSession step{9, 77, acts};
+            const std::vector<uint8_t> stepFrame = oracleStepSession(step);
+            expectFramesEqual(stepFrame, FrameType::StepSession, step,
+                              encodeStepSessionFrame, encodeStepSession);
+            io::ByteReader rs = bodyOf(stepFrame);
+            EXPECT_TRUE(decodeStepSession(rs).frames == acts);
+
+            const WireSessionStepped stepped{10, 77, 1234, acts};
+            const std::vector<uint8_t> steppedFrame =
+                oracleSessionStepped(stepped);
+            expectFramesEqual(steppedFrame, FrameType::SessionStepped,
+                              stepped, encodeSessionSteppedFrame,
+                              encodeSessionStepped);
+            io::ByteReader rt = bodyOf(steppedFrame);
+            const WireSessionStepped backStepped = decodeSessionStepped(rt);
+            EXPECT_EQ(backStepped.firstStep, 1234u);
+            EXPECT_TRUE(backStepped.spikes == acts);
+        }
+    }
+}
+
+TEST(NetProtocol, GarbageTailBitsDecodeToTheCleanRequest)
+{
+    // A peer may set bits past cols in a row's last word. They are not
+    // part of the matrix: the decode equals the request without them
+    // and keeps BinaryMatrix's tail invariant.
+    Rng rng(29);
+    for (size_t cols : {1u, 63u, 65u, 130u}) {
+        WireRequest req;
+        req.model = "m";
+        req.acts = BinaryMatrix::random(4, cols, 0.5, rng);
+        std::vector<uint8_t> frame = oracleRequest(req);
+        const size_t wordsPerRow = (cols + 63) / 64;
+        const size_t payload = frame.size() - 4 * wordsPerRow * 8;
+        const uint64_t garbage = ~lowMask(static_cast<int>(cols % 64));
+        for (size_t r = 0; r < 4; ++r) {
+            // Set every bit of the row's last word that lies past cols.
+            const size_t last =
+                payload + (r * wordsPerRow + wordsPerRow - 1) * 8;
+            for (size_t b = 0; b < 8; ++b)
+                frame[last + b] |= static_cast<uint8_t>(garbage >> (8 * b));
+        }
+        io::ByteReader body = bodyOf(frame);
+        const WireRequest back = decodeRequest(body);
+        EXPECT_TRUE(back.acts.tailBitsClear()) << cols;
+        EXPECT_TRUE(back.acts == req.acts) << cols;
     }
 }
 

@@ -17,10 +17,10 @@
 #include <stdexcept>
 #include <thread>
 
-#include "arch/pattern_matcher.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/calibration.hh"
+#include "core/decompose.hh"
 #include "core/pipeline.hh"
 #include "core/pwp.hh"
 #include "sim/phi_sim.hh"
@@ -402,17 +402,23 @@ TEST(ParallelKernels, MatchAllEqualsPerRowMatch)
     std::vector<uint64_t> pats;
     for (int i = 0; i < 100; ++i)
         pats.push_back(rng.next() & 0xffff);
-    PatternMatcher matcher(PatternSet(16, pats));
+    // One stateless assigner shared by every worker, as the serve
+    // kernel's match table shares it.
+    const PatternAssigner assigner(PatternSet(16, pats));
 
     std::vector<uint64_t> rows;
     for (int i = 0; i < 3000; ++i)
         rows.push_back(rng.next() & 0xffff);
 
     for (int threads : {1, 2, 8}) {
-        auto batch = matcher.matchAll(rows, withThreads(threads));
-        ASSERT_EQ(batch.size(), rows.size());
+        std::vector<RowAssignment> batch(rows.size());
+        parallelFor(withThreads(threads), 0, rows.size(), 512,
+                    [&](size_t i0, size_t i1) {
+            for (size_t i = i0; i < i1; ++i)
+                batch[i] = assigner.assign(rows[i]);
+        });
         for (size_t i = 0; i < rows.size(); ++i) {
-            RowAssignment one = matcher.match(rows[i]);
+            RowAssignment one = assigner.assign(rows[i]);
             EXPECT_EQ(batch[i].patternId, one.patternId);
             EXPECT_EQ(batch[i].posMask, one.posMask);
             EXPECT_EQ(batch[i].negMask, one.negMask);

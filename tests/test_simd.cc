@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "arch/pattern_matcher.hh"
 #include "common/rng.hh"
 #include "core/calibration.hh"
 #include "core/decompose.hh"
@@ -393,37 +392,24 @@ TEST(SimdKernelEquivalence, MatcherMatchAllMatchesScalarBackend)
     std::vector<uint64_t> pats;
     for (int i = 0; i < 77; ++i)
         pats.push_back(rng.next() & 0x3ffff);
-    PatternMatcher matcher(PatternSet(18, pats));
+    const PatternSet ps(18, pats);
 
     std::vector<uint64_t> rows(1537);
     for (auto& r : rows)
         r = rng.bernoulli(0.1) ? 0 : (rng.next() & 0x3ffff);
 
-    ExecutionConfig scalarExec;
-    scalarExec.threads = 1;
-    scalarExec.isa = SimdIsa::Scalar;
-    const auto ref = matcher.matchAll(rows, scalarExec);
-
-    // matchAll must equal per-row match() on every backend.
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const RowAssignment one = matcher.match(rows[i]);
-        ASSERT_EQ(ref[i].patternId, one.patternId);
-        ASSERT_EQ(ref[i].posMask, one.posMask);
-        ASSERT_EQ(ref[i].negMask, one.negMask);
-    }
-
+    // Every backend's assign() equals the scalar backend, row for row.
+    const PatternAssigner ref(ps, SimdIsa::Scalar);
     for (SimdIsa isa : simdBackends()) {
-        ExecutionConfig exec;
-        exec.threads = 2;
-        exec.isa = isa;
-        const auto got = matcher.matchAll(rows, exec);
-        ASSERT_EQ(got.size(), ref.size()) << simdIsaName(isa);
+        const PatternAssigner onIsa(ps, isa);
         for (size_t i = 0; i < rows.size(); ++i) {
-            EXPECT_EQ(got[i].patternId, ref[i].patternId)
+            const RowAssignment want = ref.assign(rows[i]);
+            const RowAssignment got = onIsa.assign(rows[i]);
+            EXPECT_EQ(got.patternId, want.patternId)
                 << simdIsaName(isa) << " row " << i;
-            EXPECT_EQ(got[i].posMask, ref[i].posMask)
+            EXPECT_EQ(got.posMask, want.posMask)
                 << simdIsaName(isa) << " row " << i;
-            EXPECT_EQ(got[i].negMask, ref[i].negMask)
+            EXPECT_EQ(got.negMask, want.negMask)
                 << simdIsaName(isa) << " row " << i;
         }
     }
@@ -431,17 +417,16 @@ TEST(SimdKernelEquivalence, MatcherMatchAllMatchesScalarBackend)
 
 TEST(SimdKernelEquivalence, EmptyPatternSetAndEmptyRows)
 {
-    PatternMatcher matcher(PatternSet(16, {}));
+    const PatternSet none(16, {});
     for (SimdIsa isa : simd::availableIsas()) {
-        ExecutionConfig exec;
-        exec.isa = isa;
-        const auto out =
-            matcher.matchAll({0ull, 0xBEEFull, 0ull}, exec);
-        ASSERT_EQ(out.size(), 3u);
-        EXPECT_EQ(out[1].patternId, 0);
-        EXPECT_EQ(out[1].posMask, 0xBEEFull);
-        const auto none = matcher.matchAll({}, exec);
-        EXPECT_TRUE(none.empty());
+        const PatternAssigner assigner(none, isa);
+        const RowAssignment bits = assigner.assign(0xBEEF);
+        EXPECT_EQ(bits.patternId, 0);
+        EXPECT_EQ(bits.posMask, 0xBEEFull);
+        EXPECT_EQ(bits.negMask, 0ull);
+        const RowAssignment zero = assigner.assign(0);
+        EXPECT_EQ(zero.patternId, 0);
+        EXPECT_EQ(zero.nnz(), 0);
     }
 }
 
